@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, check_nk, check_pair, check_probability
 
 __all__ = [
     "DiscreteDistribution",
@@ -112,7 +112,7 @@ def binomial_distribution(m: int, q: float) -> DiscreteDistribution:
     """Bin(m, q) pmf with exact integer binomial coefficients."""
     if m < 0:
         raise ValueError(f"trial count must be non-negative, got {m}")
-    _check_prob(q, "q")
+    check_probability(q, "q")
     pmf = np.array([math.comb(m, j) * q**j * (1.0 - q) ** (m - j) for j in range(m + 1)])
     return DiscreteDistribution(pmf)
 
@@ -121,7 +121,7 @@ def binomial_tail_ge1(m: int, q: float) -> float:
     """P(Bin(m, q) >= 1) = 1 - (1 - q)^m."""
     if m < 0:
         raise ValueError(f"trial count must be non-negative, got {m}")
-    _check_prob(q, "q")
+    check_probability(q, "q")
     return 1.0 - (1.0 - q) ** m
 
 
@@ -148,7 +148,7 @@ def degree_law(h: Hypergraph, v: int, p: float) -> DiscreteDistribution:
     """
     if not 1 <= v <= h.n:
         raise ValueError(f"vertex {v} outside 1..{h.n}")
-    _check_prob(p, "p")
+    check_probability(p, "p")
     return poisson_binomial([2.0 * p / len(e) for e in h.edges if v in e])
 
 
@@ -158,9 +158,8 @@ def pair_edge_law(h: Hypergraph, i: int, j: int, p: float) -> DiscreteDistributi
     One trial per hyperedge containing both, succeeding with probability
     p / C(|H|, 2): the doubleton must be exactly {i, j}.
     """
-    if i == j:
-        raise ValueError("pair vertices must be distinct")
-    _check_prob(p, "p")
+    check_pair(i, j, h.n)
+    check_probability(p, "p")
     probs = [p / math.comb(len(e), 2) for e in h.edges if i in e and j in e]
     return poisson_binomial(probs)
 
@@ -168,9 +167,9 @@ def pair_edge_law(h: Hypergraph, i: int, j: int, p: float) -> DiscreteDistributi
 def degree_law_binomial_model(n: int, k: int, p: float, q: float) -> DiscreteDistribution:
     """Vertex degree when the driving hypergraph includes each k-subset with
     probability q: Bin(C(n-1, k-1), 2pq/k)."""
-    _check_nk(n, k)
-    _check_prob(p, "p")
-    _check_prob(q, "q")
+    check_nk(n, k)
+    check_probability(p, "p")
+    check_probability(q, "q")
     return binomial_distribution(math.comb(n - 1, k - 1), 2.0 * p * q / k)
 
 
@@ -187,13 +186,12 @@ def degree_law_uniform_model(
     uses p where its own proof, and the enumeration oracle, give 2p/k; the
     calibrated default is 2p/k).
     """
-    _check_nk(n, k)
-    _check_prob(p, "p")
-    total = math.comb(n, k)
+    total = check_nk(n, k)
+    check_probability(p, "p")
     if not 0 <= m <= total:
         raise ValueError(f"edge count {m} outside 0..C({n},{k})={total}")
     s = 2.0 * p / k if trial_success is None else trial_success
-    _check_prob(s, "trial_success")
+    check_probability(s, "trial_success")
     weights = hypergeometric(total, math.comb(n - 1, k - 1), m)
     width = len(weights) - 1
     pmf = np.zeros(width + 1)
@@ -207,15 +205,15 @@ def empty_probability(edge_count: int, p: float) -> float:
     """Probability the generated multigraph has no edge: (1-p)^edges."""
     if edge_count < 0:
         raise ValueError(f"edge count must be non-negative, got {edge_count}")
-    _check_prob(p, "p")
+    check_probability(p, "p")
     return (1.0 - p) ** edge_count
 
 
 def expected_isolated(n: int, k: int, p: float) -> float:
     """Expected number of isolated vertices under the complete k-uniform
     driving hypergraph: n * (1 - 2p/k)^C(n-1, k-1)."""
-    _check_nk(n, k)
-    _check_prob(p, "p")
+    check_nk(n, k)
+    check_probability(p, "p")
     return n * (1.0 - 2.0 * p / k) ** math.comb(n - 1, k - 1)
 
 
@@ -228,8 +226,8 @@ def expected_triangles_binomial3(n: int, p: float, q: float) -> float:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    _check_prob(p, "p")
-    _check_prob(q, "q")
+    check_probability(p, "p")
+    check_probability(q, "q")
     t = binomial_tail_ge1(n - 3, p * q / 3.0)
     return math.comb(n, 3) * ((1.0 - p * q) * t**3 + p * q * t**2)
 
@@ -266,12 +264,12 @@ def expected_triangles_uniform3(
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    _check_prob(p, "p")
+    check_probability(p, "p")
     total = math.comb(n, 3)
     if not 0 <= m <= total:
         raise ValueError(f"edge count {m} outside 0..C({n},3)={total}")
     s = p / 3.0 if trial_success is None else trial_success
-    _check_prob(s, "trial_success")
+    check_probability(s, "trial_success")
 
     if hyp_population is None and hyp_successes is None and hyp_sample is None:
         return _uniform3_exact_joint(n, p, m, s)
@@ -351,7 +349,7 @@ def triangle_chain_matrix(p: float) -> np.ndarray:
     States 0..3 count how many of the triple's pairs are joined so far;
     a step advances with probability (3-state)/6 * p and state 3 absorbs.
     """
-    _check_prob(p, "p")
+    check_probability(p, "p")
     return np.array(
         [
             [1.0 - p / 2.0, p / 2.0, 0.0, 0.0],
@@ -385,18 +383,9 @@ def expected_triangles_complete4(n: int, p: float) -> float:
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
-    _check_prob(p, "p")
+    check_probability(p, "p")
     p00, p01, p02, _ = triangle_chain_row(n, p)
     x = binomial_tail_ge1(math.comb(n - 3, 2), p / 6.0)
     covered_all = 1.0 - (p00 + p01 + p02)
     return math.comb(n, 3) * (covered_all + p00 * x**3 + p01 * x**2 + p02 * x)
 
-
-def _check_prob(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-def _check_nk(n: int, k: int) -> None:
-    if not 2 <= k <= n:
-        raise ValueError(f"edge size k={k} outside 2..n={n}")

@@ -17,38 +17,14 @@ import sys
 import numpy as np
 
 from . import analytics, experiments, generator, oracle
-from .hypergraph import (
-    Hypergraph,
-    binomial_hypergraph,
-    complete_uniform,
-    read_hypergraph,
-    uniform_hypergraph,
-)
-from .multigraph import write_multigraph
+from .hypergraph import complete_uniform
+from .hypergraph import uniform_hypergraph  # noqa: F401  bound here for bench/tracing.py
+from .multigraph import PAIR_PROPERTIES, PROPERTIES, write_multigraph
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
-
-
-def _build_hypergraph(args, rng: np.random.Generator) -> Hypergraph:
-    if args.model == "file":
-        if not args.hypergraph_file:
-            raise ValueError("model 'file' needs --hypergraph-file")
-        with open(args.hypergraph_file) as f:
-            return read_hypergraph(f)
-    if args.model == "complete-k":
-        return complete_uniform(args.n, args.k)
-    if args.model == "binomial-hk":
-        if args.q is None:
-            raise ValueError("model 'binomial-hk' needs --q")
-        return binomial_hypergraph(args.n, args.k, args.q, rng)
-    if args.model == "uniform-hk":
-        if args.m is None:
-            raise ValueError("model 'uniform-hk' needs --m")
-        return uniform_hypergraph(args.n, args.k, args.m, rng)
-    raise ValueError(f"unknown model {args.model!r}")
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -61,7 +37,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     rng = experiments.substream(args.seed)
-    h = _build_hypergraph(args, rng)
+    h = experiments.build_hypergraph(args, rng)
     g = generator.generate(h, args.p, rng)
     import io
 
@@ -130,10 +106,10 @@ def _cmd_exact(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rng = experiments.substream(args.seed)
-    h = _build_hypergraph(args, rng)
+    h = experiments.build_hypergraph(args, rng)
     params = {"n": h.n, "p": args.p, "edges": len(h.edges)}
     if args.quantity == "prob":
-        pred = oracle.predicate_by_name(args.predicate, args.i, args.j)
+        pred = oracle.predicate_by_name(args.predicate, args.i, args.j, h.n)
         params["predicate"] = pred.name
         value = oracle.exact_property_probability(h, args.p, pred, budget=args.budget)
         states = oracle.enumeration_states(h, args.p)
@@ -283,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p")
     sp.add_argument("--scale", choices=sorted(experiments.SCALE_FUNCTIONS))
     sp.add_argument("--c-list")
-    sp.add_argument("--property", choices=experiments.PROPERTIES)
+    sp.add_argument("--property", choices=tuple(PROPERTIES))
     sp.add_argument("--i", type=int)
     sp.add_argument("--j", type=int)
     sp.add_argument("--trials", type=int, default=10_000)
@@ -291,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_mc)
 
     sp = sub.add_parser("scan", help="threshold scan over n and multiplier c, CSV output")
-    sp.add_argument("--property", required=True, choices=["simple", "connected", "no-isolated", "has-edge"])
+    sp.add_argument(
+        "--property", required=True, choices=[p for p in PROPERTIES if p not in PAIR_PROPERTIES]
+    )
     sp.add_argument("--scale", required=True, choices=sorted(experiments.SCALE_FUNCTIONS))
     sp.add_argument("--c-list", required=True)
     sp.add_argument("--n-list", required=True)

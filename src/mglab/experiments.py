@@ -19,15 +19,23 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
-from itertools import combinations
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from . import generator
-from .hypergraph import Hypergraph, binomial_hypergraph, complete_uniform, read_hypergraph, uniform_hypergraph
-from .multigraph import Multigraph
+from .hypergraph import (
+    Hypergraph,
+    binomial_hypergraph,
+    check_nk,
+    check_probability,
+    complete_uniform,
+    read_hypergraph,
+    unrank_ksubsets,
+    uniform_hypergraph,
+)
+from .multigraph import PROPERTIES, Multigraph, property_evaluator
 
 __all__ = [
     "ExperimentConfig",
@@ -41,13 +49,15 @@ __all__ = [
     "substream",
     "SCALE_FUNCTIONS",
     "MODELS",
-    "PROPERTIES",
+    "check_model",
+    "build_hypergraph",
 ]
 
 Z95 = 1.959963984540054
 
 MODELS = ("complete-k", "binomial-hk", "uniform-hk", "file")
-PROPERTIES = ("simple", "connected", "no-isolated", "has-edge", "triangle-count", "pair-adjacent")
+# The parameter each random or file model cannot do without.
+_MODEL_PARAMETER = {"binomial-hk": "q", "uniform-hk": "m", "file": "hypergraph_file"}
 
 # Threshold scale functions: p = scale(c, n, k).
 SCALE_FUNCTIONS = {
@@ -60,6 +70,49 @@ SCALE_FUNCTIONS = {
 # Above this many hyperedges the built-in models switch to the thinned
 # sampling path instead of materializing the hypergraph.
 DENSE_LIMIT = 20_000
+
+# Ranks of k-subsets are int64, so rank spaces must stay below 2^63.
+RANK_LIMIT = 2**63
+
+
+def check_model(spec) -> int | None:
+    """Check the driving-hypergraph model of ``spec`` and its parameters.
+
+    ``spec`` is any object with ``model``, ``n``, ``k``, ``q``, ``m`` and
+    ``hypergraph_file`` attributes: an ExperimentConfig or parsed CLI
+    arguments. Returns C(n, k) for the built-in models, None for a file.
+    """
+    if spec.model not in MODELS:
+        raise ValueError(f"unknown model {spec.model!r}; choose from {MODELS}")
+    needed = _MODEL_PARAMETER.get(spec.model)
+    if needed is not None and getattr(spec, needed) is None:
+        raise ValueError(f"model {spec.model} needs {needed}")
+    if spec.model == "file":
+        return None
+    if spec.n is None:
+        raise ValueError(f"model {spec.model} needs n")
+    total = check_nk(spec.n, spec.k)
+    if total >= RANK_LIMIT:
+        raise ValueError(f"C({spec.n},{spec.k}) = {total} hyperedges is not below 2^63")
+    if spec.model == "binomial-hk":
+        check_probability(spec.q, "q")
+    if spec.model == "uniform-hk" and not 0 <= spec.m <= total:
+        raise ValueError(f"edge count {spec.m} outside 0..C({spec.n},{spec.k})={total}")
+    return total
+
+
+def build_hypergraph(spec, rng: np.random.Generator) -> Hypergraph:
+    """The driving hypergraph of ``spec`` (see ``check_model``); the random
+    models draw it from ``rng``."""
+    check_model(spec)
+    if spec.model == "file":
+        with open(spec.hypergraph_file) as f:
+            return read_hypergraph(f)
+    if spec.model == "complete-k":
+        return complete_uniform(spec.n, spec.k)
+    if spec.model == "binomial-hk":
+        return binomial_hypergraph(spec.n, spec.k, spec.q, rng)
+    return uniform_hypergraph(spec.n, spec.k, spec.m, rng)
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
@@ -93,6 +146,15 @@ class TrialSummary:
     mean_statistic: float | None = None
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# JSON types of the config keys that are not integers.
+_FIELD_TYPES = {"model": str, "property": str, "hypergraph_file": str, "q": (int, float),
+                "p": (int, float, list, dict)}
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative Monte Carlo experiment.
@@ -121,49 +183,47 @@ class ExperimentConfig:
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        spec = {f.name: f for f in fields(cls)}
+        unknown = set(data) - set(spec)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"model", "n", "k", "p", "property", "trials", "seed"} - set(data)
+        missing = {name for name, f in spec.items() if f.default is MISSING} - set(data)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
+        for key, value in data.items():
+            if value is None and spec[key].default is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES.get(key, int)):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         return cls(**data)
 
     def validate(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        if self.property not in PROPERTIES:
-            raise ValueError(f"unknown property {self.property!r}; choose from {PROPERTIES}")
+        check_model(self)
+        property_evaluator(self.property, self.n, self.i, self.j)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if self.model == "binomial-hk" and self.q is None:
-            raise ValueError("model binomial-hk needs q")
-        if self.model == "uniform-hk" and self.m is None:
-            raise ValueError("model uniform-hk needs m")
-        if self.model == "file" and self.hypergraph_file is None:
-            raise ValueError("model file needs hypergraph_file")
-        if self.model != "file" and not 2 <= self.k <= self.n:
-            raise ValueError(f"edge size k={self.k} outside 2..n={self.n}")
-        if self.property == "pair-adjacent" and (self.i is None or self.j is None):
-            raise ValueError("property pair-adjacent needs i and j")
         for p in self.p_values():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"swept p={p} outside [0, 1]")
+            check_probability(p, "p")
 
     def p_values(self) -> list[float]:
         if isinstance(self.p, dict):
             extra = set(self.p) - {"scale", "c"}
             if extra:
                 raise ValueError(f"unknown sweep keys: {sorted(extra)}")
-            scale = SCALE_FUNCTIONS.get(self.p.get("scale"))
+            name = self.p.get("scale")
+            scale = SCALE_FUNCTIONS.get(name) if isinstance(name, str) else None
             if scale is None:
                 raise ValueError(f"unknown scale {self.p.get('scale')!r}")
             cs = self.p.get("c")
-            if not isinstance(cs, (list, tuple)) or not cs:
-                raise ValueError("sweep needs a non-empty multiplier list under 'c'")
-            values = [scale(c, self.n, self.k) for c in cs]
+            if not isinstance(cs, (list, tuple)) or not cs or not all(map(_is_number, cs)):
+                raise ValueError("sweep needs a non-empty list of numbers under 'c'")
+            try:
+                values = [scale(c, self.n, self.k) for c in cs]
+            except ArithmeticError as exc:
+                raise ValueError(f"scale {name} fails at n={self.n}, k={self.k}: {exc}")
         elif isinstance(self.p, (list, tuple)):
+            if not all(map(_is_number, self.p)):
+                raise ValueError(f"swept p values must be numbers, got {self.p!r}")
             values = [float(x) for x in self.p]
         else:
             values = [float(self.p)]
@@ -172,106 +232,43 @@ class ExperimentConfig:
         return values
 
 
-def _evaluate(property_name: str, g: Multigraph, i: int | None, j: int | None) -> tuple[bool, float | None]:
-    if property_name == "simple":
-        return g.is_simple(), None
-    if property_name == "connected":
-        return g.is_connected(), None
-    if property_name == "no-isolated":
-        isolated = g.count_isolated()
-        return isolated == 0, float(isolated)
-    if property_name == "has-edge":
-        return len(g.edge_mult) > 0, None
-    if property_name == "triangle-count":
-        count = g.count_triangles()
-        return count > 0, float(count)
-    if property_name == "pair-adjacent":
-        return g.multiplicity(i, j) >= 1, None
-    raise ValueError(f"unknown property {property_name!r}")
-
-
 class _TrialSampler:
     """Per-config multigraph sampler choosing the dense or thinned path."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.total = check_model(cfg)
+        self.sparse = self.total is not None and self.total > DENSE_LIMIT
         self.fixed: Hypergraph | None = None
-        total = math.comb(cfg.n, cfg.k) if cfg.model != "file" else 0
-        self.sparse = cfg.model != "file" and total > DENSE_LIMIT
-        if cfg.model == "file":
-            with open(cfg.hypergraph_file) as f:
-                self.fixed = read_hypergraph(f)
-        elif cfg.model == "complete-k" and not self.sparse:
-            self.fixed = complete_uniform(cfg.n, cfg.k)
-        if self.sparse:
-            self._unranker = _SubsetUnranker(cfg.n, cfg.k)
-            self._pair_table = np.array(list(combinations(range(cfg.k), 2)), dtype=np.int64)
+        if cfg.model in ("complete-k", "file") and not self.sparse:
+            self.fixed = build_hypergraph(cfg, None)
+        # Vertex count of the sampled graphs; a file names its own.
+        self.n = cfg.n if self.fixed is None else self.fixed.n
 
     def sample(self, p: float, rng: np.random.Generator) -> Multigraph:
         cfg = self.cfg
         if self.sparse:
-            total = math.comb(cfg.n, cfg.k)
             if cfg.model == "complete-k":
-                count = int(rng.binomial(total, p))
+                count = int(rng.binomial(self.total, p))
             elif cfg.model == "binomial-hk":
-                count = int(rng.binomial(total, p * cfg.q))
+                count = int(rng.binomial(self.total, p * cfg.q))
             else:
                 count = int(rng.binomial(cfg.m, p))
             return self._thinned(count, rng)
-        if self.fixed is not None:
-            h = self.fixed
-        elif cfg.model == "binomial-hk":
-            h = binomial_hypergraph(cfg.n, cfg.k, cfg.q, rng)
-        else:
-            h = uniform_hypergraph(cfg.n, cfg.k, cfg.m, rng)
+        h = self.fixed if self.fixed is not None else build_hypergraph(cfg, rng)
         return generator.generate(h, p, rng)
 
     def _thinned(self, count: int, rng: np.random.Generator) -> Multigraph:
+        """``count`` distinct uniform k-subsets, one uniform doubleton each."""
         cfg = self.cfg
-        ranks = _distinct_ranks(math.comb(cfg.n, cfg.k), count, rng)
-        members = self._unranker.unrank(ranks)
-        local = self._pair_table[rng.integers(0, len(self._pair_table), size=count)]
+        ranks = rng.choice(self.total, count, replace=False, shuffle=False)
+        members = unrank_ksubsets(cfg.n, cfg.k, ranks)
+        pairs = generator._local_pairs(cfg.k)
+        local = pairs[rng.integers(0, len(pairs), size=count)]
         rows = np.arange(count)
         u = members[rows, local[:, 0]]
         v = members[rows, local[:, 1]]
         return Multigraph.from_pairs(cfg.n, zip(u.tolist(), v.tolist()))
-
-
-class _SubsetUnranker:
-    """Vectorized colexicographic unranking of k-subsets of 1..n."""
-
-    def __init__(self, n: int, k: int):
-        self.k = k
-        self.tables = [
-            np.array([math.comb(c, i) for c in range(n + 1)], dtype=np.int64)
-            for i in range(1, k + 1)
-        ]
-
-    def unrank(self, ranks: np.ndarray) -> np.ndarray:
-        r = ranks.astype(np.int64).copy()
-        out = np.empty((len(ranks), self.k), dtype=np.int64)
-        for i in range(self.k, 0, -1):
-            table = self.tables[i - 1]
-            c = np.searchsorted(table, r, side="right") - 1
-            r -= table[c]
-            out[:, i - 1] = c + 1
-        return out
-
-
-def _distinct_ranks(total: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """The first ``count`` distinct draws of a uniform stream over
-    range(total); their set is a uniform count-subset."""
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-    if count > total:
-        raise ValueError(f"cannot draw {count} distinct ranks from {total}")
-    collected = np.zeros(0, dtype=np.int64)
-    while len(collected) < count:
-        batch = rng.integers(0, total, size=max(16, (count - len(collected)) * 2))
-        merged = np.concatenate([collected, batch])
-        _, first = np.unique(merged, return_index=True)
-        collected = merged[np.sort(first)]
-    return collected[:count]
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[TrialSummary]:
@@ -279,6 +276,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[TrialSummary]:
     trial for the random-hypergraph models, Wilson 95% intervals."""
     cfg.validate()
     sampler = _TrialSampler(cfg)
+    evaluate = property_evaluator(cfg.property, sampler.n, cfg.i, cfg.j)
     out = []
     for p_idx, p in enumerate(cfg.p_values()):
         successes = 0
@@ -287,7 +285,7 @@ def run_monte_carlo(cfg: ExperimentConfig) -> list[TrialSummary]:
         for trial in range(cfg.trials):
             rng = substream(cfg.seed, p_idx, trial)
             g = sampler.sample(p, rng)
-            ok, stat = _evaluate(cfg.property, g, cfg.i, cfg.j)
+            ok, stat = evaluate(g)
             successes += ok
             if stat is not None:
                 stat_sum += stat
@@ -361,9 +359,6 @@ def threshold_scan(
     return buf.getvalue()
 
 
-MONOTONE_PROPERTIES = ("has-edge", "connected", "no-isolated", "triangle-count")
-
-
 @dataclass(frozen=True)
 class CouplingReport:
     """Outcome of a coupled-generation audit."""
@@ -399,10 +394,11 @@ def coupling_check(
     built-in monotone property must not drop when p rises."""
     if p1 > p2:
         raise ValueError(f"need p1 <= p2, got {p1} > {p2}")
+    monotone = {name: evaluate for name, (evaluate, increasing) in PROPERTIES.items() if increasing}
     failures = 0
     identical = 0
-    hits1 = dict.fromkeys(MONOTONE_PROPERTIES, 0)
-    hits2 = dict.fromkeys(MONOTONE_PROPERTIES, 0)
+    hits1 = dict.fromkeys(monotone, 0)
+    hits2 = dict.fromkeys(monotone, 0)
     for trial in range(trials):
         rng = substream(seed, trial)
         g1, g2 = generator.coupled_generate(h, p1, p2, rng)
@@ -410,14 +406,10 @@ def coupling_check(
             failures += 1
         if g1.edge_mult == g2.edge_mult:
             identical += 1
-        for name in MONOTONE_PROPERTIES:
-            ok1, _ = _evaluate(name, g1, None, None)
-            ok2, _ = _evaluate(name, g2, None, None)
-            hits1[name] += ok1
-            hits2[name] += ok2
-    freqs = {
-        name: (hits1[name] / trials, hits2[name] / trials) for name in MONOTONE_PROPERTIES
-    }
+        for name, evaluate in monotone.items():
+            hits1[name] += evaluate(g1)[0]
+            hits2[name] += evaluate(g2)[0]
+    freqs = {name: (hits1[name] / trials, hits2[name] / trials) for name in monotone}
     return CouplingReport(
         trials=trials,
         p1=p1,

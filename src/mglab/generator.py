@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, check_probability
 from .multigraph import Multigraph
 
 __all__ = [
@@ -109,7 +109,7 @@ def sample_shadow(h: Hypergraph, rng: np.random.Generator) -> ShadowSelection:
 
 def realize(s: ShadowSelection, p: float, rng: np.random.Generator) -> Multigraph:
     """Keep each chosen doubleton as an edge independently with probability p."""
-    _check_p(p)
+    check_probability(p, "p")
     keep = rng.random(len(s.doubletons)) < p
     return Multigraph.from_pairs(s.n, (d for d, k in zip(s.doubletons, keep) if k))
 
@@ -117,7 +117,7 @@ def realize(s: ShadowSelection, p: float, rng: np.random.Generator) -> Multigrap
 def generate(h: Hypergraph, p: float, rng: np.random.Generator) -> Multigraph:
     """Sample one multigraph: a uniform doubleton per hyperedge, kept with
     probability p, multiplicities accumulating over hyperedges."""
-    _check_p(p)
+    check_probability(p, "p")
     u, v = _draw_doubletons(h, rng)
     keep = rng.random(len(u)) < p
     return _graph_from_arrays(h.n, u[keep], v[keep])
@@ -132,8 +132,8 @@ def coupled_generate(
     doubleton is then upgraded independently with probability
     (p2 - p1) / (1 - p1), so the union succeeds at rate exactly p2.
     """
-    _check_p(p1)
-    _check_p(p2)
+    check_probability(p1, "p1")
+    check_probability(p2, "p2")
     if p1 > p2:
         raise ValueError(f"need p1 <= p2, got {p1} > {p2}")
     u, v = _draw_doubletons(h, rng)
@@ -153,7 +153,7 @@ def coupled_generate_nested(
     G is generated from h1; the hyperedges of h2 minus h1 (as multisets) then
     contribute independent extra doubletons and coins on top of it.
     """
-    _check_p(p)
+    check_probability(p, "p")
     if h1.n != h2.n:
         raise ValueError(f"vertex counts differ: {h1.n} vs {h2.n}")
     if not h1.is_submultiset_of(h2):
@@ -178,7 +178,3 @@ def coupled_generate_nested(
 def _graph_from_arrays(n: int, u: np.ndarray, v: np.ndarray) -> Multigraph:
     return Multigraph.from_pairs(n, zip(u.tolist(), v.tolist()))
 
-
-def _check_p(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import lru_cache
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -93,8 +94,8 @@ class Hypergraph:
 
 def complete_uniform(n: int, k: int) -> Hypergraph:
     """The simple hypergraph of all k-subsets of {1, ..., n}."""
-    _check_nk(n, k)
-    return Hypergraph._from_canonical(n, _all_ksubsets(n, k))
+    check_nk(n, k)
+    return Hypergraph._from_canonical(n, combinations(range(1, n + 1), k))
 
 
 def binomial_hypergraph(n: int, k: int, q: float, rng: np.random.Generator) -> Hypergraph:
@@ -104,56 +105,62 @@ def binomial_hypergraph(n: int, k: int, q: float, rng: np.random.Generator) -> H
     many distinct subset ranks, which has the same law without touching all
     C(n, k) subsets.
     """
-    _check_nk(n, k)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"inclusion probability must lie in [0, 1], got {q}")
-    total = math.comb(n, k)
-    count = int(rng.binomial(total, q))
-    ranks = _sample_distinct_ranks(total, count, rng)
-    return Hypergraph._from_canonical(n, _subsets_for_ranks(n, k, total, ranks))
+    total = check_nk(n, k)
+    check_probability(q, "q")
+    return _distinct_subsets(n, k, total, int(rng.binomial(total, q)), rng)
 
 
 def uniform_hypergraph(n: int, k: int, m: int, rng: np.random.Generator) -> Hypergraph:
     """Exactly m distinct k-subsets, uniform over all such collections."""
-    _check_nk(n, k)
-    total = math.comb(n, k)
+    total = check_nk(n, k)
     if not 0 <= m <= total:
         raise ValueError(f"edge count {m} outside 0..C({n},{k})={total}")
-    ranks = _sample_distinct_ranks(total, m, rng)
-    return Hypergraph._from_canonical(n, _subsets_for_ranks(n, k, total, ranks))
+    return _distinct_subsets(n, k, total, m, rng)
 
 
-def unrank_ksubset(rank: int, k: int) -> tuple[int, ...]:
-    """The k-subset of 1..n with the given colexicographic rank.
-
-    Inverse of rank = sum_i C(member_i - 1, i) over the sorted 1-based
-    members; independent of n, so callers only need the rank to be in range.
-    """
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        c = i - 1
-        while math.comb(c + 1, i) <= r:
-            c += 1
-        r -= math.comb(c, i)
-        out.append(c + 1)
-    return tuple(reversed(out))
-
-
-def _subsets_for_ranks(n: int, k: int, total: int, ranks: list[int]) -> list[tuple[int, ...]]:
+def _distinct_subsets(n: int, k: int, total: int, count: int, rng: np.random.Generator) -> Hypergraph:
+    """``count`` distinct k-subsets, uniform, in colex order. Floyd's
+    algorithm (or a tail shuffle when count is a large share of total) in
+    ``Generator.choice`` never materializes a huge rank space."""
+    ranks = np.sort(rng.choice(total, count, replace=False, shuffle=False))
     if total <= 20_000:
         table = _colex_table(n, k)
-        return [table[r] for r in sorted(ranks)]
-    return [unrank_ksubset(r, k) for r in sorted(ranks)]
+        return Hypergraph._from_canonical(n, [table[r] for r in ranks.tolist()])
+    return Hypergraph._from_canonical(n, map(tuple, unrank_ksubsets(n, k, ranks).tolist()))
+
+
+def unrank_ksubsets(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
+    """The k-subsets of 1..n with the given colexicographic ranks, one
+    increasing row each.
+
+    Inverse of rank = sum_i C(member_i - 1, i) over the sorted 1-based
+    members: from i = k down, member_i - 1 is the largest c with
+    C(c, i) <= the remaining rank.
+    """
+    r = np.asarray(ranks, dtype=np.int64).copy()
+    out = np.empty((len(r), k), dtype=np.int64)
+    for i, table in zip(range(k, 0, -1), reversed(_binomial_tables(n, k))):
+        c = np.searchsorted(table, r, side="right") - 1
+        r -= table[c]
+        out[:, i - 1] = c + 1
+    return out
+
+
+@lru_cache(maxsize=32)
+def _binomial_tables(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """C(c, i) for c = 0..n, one table per i = 1..k, capped at the int64
+    maximum (ranks stay below 2^63, so a capped entry is never selected)."""
+    cap = np.iinfo(np.int64).max
+    return tuple(
+        np.array([min(math.comb(c, i), cap) for c in range(n + 1)], dtype=np.int64)
+        for i in range(1, k + 1)
+    )
 
 
 @lru_cache(maxsize=32)
 def _colex_table(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-subsets of 1..n indexed by colex rank (small spaces only)."""
-    table: list[tuple[int, ...]] = [()] * math.comb(n, k)
-    for s in _all_ksubsets(n, k):
-        table[rank_ksubset(s)] = s
-    return tuple(table)
+    return tuple(map(tuple, unrank_ksubsets(n, k, np.arange(math.comb(n, k))).tolist()))
 
 
 def rank_ksubset(subset: Sequence[int]) -> int:
@@ -161,36 +168,23 @@ def rank_ksubset(subset: Sequence[int]) -> int:
     return sum(math.comb(v - 1, i + 1) for i, v in enumerate(subset))
 
 
-def _sample_distinct_ranks(total: int, count: int, rng: np.random.Generator) -> list[int]:
-    """A uniform count-subset of range(total), unsorted.
-
-    Dense draws (count within a factor of total) shuffle the whole range;
-    sparse draws use Floyd's algorithm so huge rank spaces never
-    materialize. The regime is a deterministic function of the sizes.
-    """
-    if count * 64 >= total:
-        return rng.permutation(total)[:count].tolist()
-    chosen: set[int] = set()
-    order: list[int] = []
-    for j in range(total - count, total):
-        t = int(rng.integers(0, j + 1))
-        pick = t if t not in chosen else j
-        chosen.add(pick)
-        order.append(pick)
-    return order
-
-
-def _all_ksubsets(n: int, k: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
-
-    return [tuple(c) for c in combinations(range(1, n + 1), k)]
-
-
-def _check_nk(n: int, k: int) -> None:
-    if n < 1:
-        raise ValueError(f"vertex count must be positive, got {n}")
+def check_nk(n: int, k: int) -> int:
+    """Reject an edge size outside 2..n; return C(n, k)."""
     if not 2 <= k <= n:
         raise ValueError(f"edge size k={k} outside 2..n={n}")
+    return math.comb(n, k)
+
+
+def check_probability(value: float, name: str) -> None:
+    """Reject a probability outside [0, 1], NaN included."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def check_pair(i: int, j: int, n: int | None = None) -> None:
+    """Reject a vertex pair that is not two distinct vertices of 1..n."""
+    if i == j or min(i, j) < 1 or (n is not None and max(i, j) > n):
+        raise ValueError(f"vertex pair ({i}, {j}) must be two distinct vertices of 1..{n or 'n'}")
 
 
 def write_hypergraph(h: Hypergraph, f: IO[str]) -> None:

@@ -4,9 +4,19 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
-__all__ = ["Multigraph", "is_subgraph", "read_multigraph", "write_multigraph"]
+from .hypergraph import check_pair
+
+__all__ = [
+    "Multigraph",
+    "is_subgraph",
+    "read_multigraph",
+    "write_multigraph",
+    "PROPERTIES",
+    "PAIR_PROPERTIES",
+    "property_evaluator",
+]
 
 Pair = tuple[int, int]
 
@@ -28,10 +38,7 @@ class Multigraph:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         cleaned: dict[Pair, int] = {}
         for (i, j), mult in (edge_mult or {}).items():
-            if i == j:
-                raise ValueError(f"self-loop on vertex {i}")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"pair ({i},{j}) leaves the vertex range 1..{n}")
+            check_pair(i, j, n)
             if mult <= 0:
                 raise ValueError(f"multiplicity of ({i},{j}) must be positive, got {mult}")
             key = (i, j) if i < j else (j, i)
@@ -123,6 +130,51 @@ class Multigraph:
 def is_subgraph(g1: Multigraph, g2: Multigraph) -> bool:
     """Sub-multigraph order: mult_g1(B) <= mult_g2(B) for every pair B."""
     return g1.is_subgraph(g2)
+
+
+Evaluation = tuple[bool, float | None]
+
+
+def _isolated(g: Multigraph) -> Evaluation:
+    isolated = g.count_isolated()
+    return isolated == 0, float(isolated)
+
+
+def _triangles(g: Multigraph) -> Evaluation:
+    count = g.count_triangles()
+    return count > 0, float(count)
+
+
+# The graph properties: name -> (evaluator g -> (holds, statistic or None),
+# increasing in p). Methods are called through the instance so wrappers
+# installed on the class see every call. The monotone entries come in the
+# order ``couple`` reports them.
+PROPERTIES: dict[str, tuple[Callable[..., Evaluation], bool]] = {
+    "has-edge": (lambda g: (len(g.edge_mult) > 0, None), True),
+    "connected": (lambda g: (g.is_connected(), None), True),
+    "no-isolated": (_isolated, True),
+    "triangle-count": (_triangles, True),
+    "simple": (lambda g: (g.is_simple(), None), False),
+    "pair-adjacent": (lambda g, i, j: (g.multiplicity(i, j) >= 1, None), False),
+}
+# Properties of a vertex pair; their evaluators take (g, i, j).
+PAIR_PROPERTIES = ("pair-adjacent",)
+
+
+def property_evaluator(
+    name: str, n: int | None = None, i: int | None = None, j: int | None = None
+) -> Callable[[Multigraph], Evaluation]:
+    """The table's evaluator for ``name``, bound to the pair (i, j) for a
+    pair property; the pair must be two distinct vertices of 1..n."""
+    if name not in PROPERTIES:
+        raise ValueError(f"unknown property {name!r}; choose from {tuple(PROPERTIES)}")
+    evaluate = PROPERTIES[name][0]
+    if name not in PAIR_PROPERTIES:
+        return evaluate
+    if i is None or j is None:
+        raise ValueError(f"property {name} needs vertices i and j")
+    check_pair(i, j, n)
+    return lambda g: evaluate(g, i, j)
 
 
 def write_multigraph(g: Multigraph, f: IO[str]) -> None:

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .analytics import DiscreteDistribution, binomial_distribution
-from .hypergraph import Hypergraph
-from .multigraph import Multigraph
+from .hypergraph import Hypergraph, check_pair, check_probability
+from .multigraph import PAIR_PROPERTIES, Multigraph, property_evaluator
 
 __all__ = [
     "PropertyPredicate",
@@ -64,31 +65,31 @@ class PropertyPredicate:
         return self.fn(g)
 
 
-SIMPLE = PropertyPredicate("simple", Multigraph.is_simple)
-CONNECTED = PropertyPredicate("connected", Multigraph.is_connected)
-NO_ISOLATED = PropertyPredicate("no-isolated", lambda g: g.count_isolated() == 0)
-HAS_EDGE = PropertyPredicate("has-edge", lambda g: len(g.edge_mult) > 0)
-HAS_TRIANGLE = PropertyPredicate("triangle-count", lambda g: g.count_triangles() > 0)
+@lru_cache(maxsize=None)
+def _table_predicate(name: str) -> PropertyPredicate:
+    evaluate = property_evaluator(name)
+    return PropertyPredicate(name, lambda g: evaluate(g)[0])
 
 
-def pair_adjacent(i: int, j: int) -> PropertyPredicate:
-    """At least one edge between the two given vertices."""
-    if i == j:
-        raise ValueError("pair vertices must be distinct")
-    return PropertyPredicate(f"pair-adjacent({i},{j})", lambda g: g.multiplicity(i, j) >= 1)
+def predicate_by_name(
+    name: str, i: int | None = None, j: int | None = None, n: int | None = None
+) -> PropertyPredicate:
+    """The property table's entry as a predicate; a pair property is bound
+    to (i, j), which must be two distinct vertices of 1..n."""
+    if name not in PAIR_PROPERTIES:
+        return _table_predicate(name)
+    evaluate = property_evaluator(name, n, i, j)
+    return PropertyPredicate(f"{name}({i},{j})", lambda g: evaluate(g)[0])
 
 
-_BUILTINS = {p.name: p for p in (SIMPLE, CONNECTED, NO_ISOLATED, HAS_EDGE, HAS_TRIANGLE)}
+def pair_adjacent(i: int, j: int, n: int | None = None) -> PropertyPredicate:
+    """At least one edge between the two given vertices of 1..n."""
+    return predicate_by_name("pair-adjacent", i, j, n)
 
 
-def predicate_by_name(name: str, i: int | None = None, j: int | None = None) -> PropertyPredicate:
-    if name == "pair-adjacent":
-        if i is None or j is None:
-            raise ValueError("pair-adjacent needs vertices i and j")
-        return pair_adjacent(i, j)
-    if name in _BUILTINS:
-        return _BUILTINS[name]
-    raise ValueError(f"unknown predicate {name!r}")
+SIMPLE, CONNECTED, NO_ISOLATED, HAS_EDGE, HAS_TRIANGLE = map(
+    _table_predicate, ("simple", "connected", "no-isolated", "has-edge", "triangle-count")
+)
 
 
 def enumeration_states(h: Hypergraph, p: float) -> int:
@@ -118,8 +119,7 @@ def exact_property_probability(
     choices. Inner loop: every coin pattern, weighted p^s (1-p)^(m-s). For
     p = 0 or p = 1 only the single possible pattern is visited.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    check_probability(p, "p")
     m = len(h.edges)
     choice_lists = [list(combinations(e, 2)) for e in h.edges]
     radices = [len(c) for c in choice_lists]
@@ -131,13 +131,14 @@ def exact_property_probability(
         weights = [1.0]
     else:
         patterns = list(range(1 << m))
-        weights = [p ** _popcount(b) * (1.0 - p) ** (m - _popcount(b)) for b in patterns]
+        weights = [p ** b.bit_count() * (1.0 - p) ** (m - b.bit_count()) for b in patterns]
 
+    # Per pattern, the hyperedges whose coin succeeds.
+    kept = [[idx for idx in range(m) if bits >> idx & 1] for bits in patterns]
     total = 0.0
-    for selection in _product(choice_lists):
-        for bits, w in zip(patterns, weights):
-            kept = [d for idx, d in enumerate(selection) if bits >> idx & 1]
-            if pred(Multigraph.from_pairs(h.n, kept)):
+    for selection in product(*choice_lists):
+        for idx, w in zip(kept, weights):
+            if pred(Multigraph.from_pairs(h.n, [selection[i] for i in idx])):
                 total += w
     return total / (math.prod(radices) if radices else 1)
 
@@ -151,8 +152,7 @@ def exact_expected_triangles(h: Hypergraph, p: float, budget: int = DEFAULT_BUDG
     disjoint coin groups, so the coin loop collapses to the exact product
     of per-pair success probabilities (the budget counts selections only).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    check_probability(p, "p")
     total = 0.0
     for triple in combinations(range(1, h.n + 1), 3):
         total += _triple_adjacency_probability(h, p, triple, budget)
@@ -217,12 +217,10 @@ def exact_edge_count_distribution(
     Only hyperedges containing both endpoints can select that doubleton;
     per shadow selection the multiplicity is Bin(#matching choices, p).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    check_probability(p, "p")
     i, j = pair
+    check_pair(i, j, h.n)
     key = (i, j) if i < j else (j, i)
-    if i == j:
-        raise ValueError("pair vertices must be distinct")
     relevant = [e for e in h.edges if i in e and j in e]
     if not relevant:
         return DiscreteDistribution.point_mass(0)
@@ -233,17 +231,8 @@ def exact_edge_count_distribution(
     width = len(relevant)
     pmf = np.zeros(width + 1)
     bin_cache = {c: binomial_distribution(c, p).pmf for c in range(width + 1)}
-    for selection in _product(match_flags):
+    for selection in product(*match_flags):
         c = sum(selection)
         pmf[: c + 1] += bin_cache[c]
     return DiscreteDistribution(pmf / math.prod(radices))
 
-
-def _product(choice_lists):
-    from itertools import product
-
-    return product(*choice_lists)
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mglab import cli
 
@@ -206,3 +208,142 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(65 / 144)
+
+
+# -- input surface ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc", "--model", "complete-k", "--n", "10", "--k", "3", "--p", "0.5",
+     "--property", "pair-adjacent", "--i", "1", "--j", "99", "--trials", "5"],
+    ["mc", "--model", "complete-k", "--n", "10", "--k", "3", "--p", "0.5",
+     "--property", "pair-adjacent", "--i", "2", "--j", "2", "--trials", "5"],
+    ["oracle", "--quantity", "prob", "--predicate", "pair-adjacent", "--model", "complete-k",
+     "--n", "4", "--k", "3", "--p", "0.5", "--i", "1", "--j", "99"],
+    ["oracle", "--quantity", "pair-dist", "--model", "complete-k", "--n", "4", "--k", "3",
+     "--p", "0.5", "--i", "1", "--j", "99"],
+    ["exact", "--quantity", "pair-law", "--n", "10", "--k", "3", "--p", "0.5", "--j", "99"],
+])
+def test_bad_vertex_pair_exits_2(argv, capsys):
+    code, out = run_cli(*argv)
+    assert code == cli.EXIT_INVALID and out == ""
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model_args", [
+    ["--model", "complete-k"],
+    ["--model", "binomial-hk", "--q", "0.5"],
+])
+def test_rank_space_beyond_int64_exits_2(model_args):
+    code, out = run_cli("mc", *model_args, "--n", "1000", "--k", "10", "--p", "1e-30",
+                        "--property", "connected", "--trials", "2")
+    assert code == cli.EXIT_INVALID and out == ""
+
+
+@pytest.mark.parametrize("key, value", [("n", "10"), ("trials", 2.5), ("seed", True), ("p", ["0.1"])])
+def test_mistyped_config_exits_2(tmp_path, key, value):
+    data = {"model": "complete-k", "n": 10, "k": 3, "p": 0.1, "property": "simple",
+            "trials": 3, "seed": 0}
+    data[key] = value
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code, out = run_cli("mc", "--config", str(cfg))
+    assert code == cli.EXIT_INVALID and out == ""
+
+
+def test_scan_accepts_triangle_count():
+    code, out = run_cli("scan", "--property", "triangle-count", "--scale", "invnk1",
+                        "--c-list", "0,1", "--n-list", "8", "--k", "3", "--trials", "50")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [r[5] for r in rows] == ["triangle-count"] * 2
+    assert rows[0][7] == "0"  # c = 0 gives p = 0: no edges, no triangles
+
+
+def test_property_names_come_from_the_one_table():
+    from mglab import oracle
+    from mglab.multigraph import PAIR_PROPERTIES, PROPERTIES
+
+    def choices(command):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
+        (action,) = [a for a in sub._actions if a.dest == "property"]
+        return list(action.choices)
+
+    assert choices("mc") == list(PROPERTIES)
+    assert choices("scan") == [name for name in PROPERTIES if name not in PAIR_PROPERTIES]
+    for name in PROPERTIES:
+        assert oracle.predicate_by_name(name, 1, 2).name.startswith(name)
+
+    code, out = run_cli("couple", "--p1", "0.1", "--p2", "0.3", "--n", "8", "--k", "3",
+                        "--trials", "20", "--seed", "1")
+    reported = [line[2:line.index(")")] for line in out.splitlines() if line.startswith("P(")]
+    assert reported == [name for name, (_, monotone) in PROPERTIES.items() if monotone]
+    assert reported == ["has-edge", "connected", "no-isolated", "triangle-count"]
+
+
+_MODEL_FLAGS = st.sampled_from([
+    [], ["--q", "0.5"], ["--q", "1.5"], ["--q", "nan"], ["--m", "4"], ["--m", "-1"], ["--m", "500"],
+])
+_SIZES = st.one_of(st.tuples(st.integers(-1, 8), st.integers(-1, 6)), st.just((1000, 10)))
+_PAIRS = st.one_of(st.tuples(st.integers(-1, 10), st.integers(-1, 10)), st.just((1, 99)))
+_ODD = st.sampled_from([None, True, "10", 2.5, [1], -1])
+
+
+@st.composite
+def _argv(draw, driver):
+    """A parseable argv over random models, sizes and vertex pairs."""
+    n, k = draw(_SIZES)
+    i, j = draw(_PAIRS)
+    model = ["--model", draw(st.sampled_from(["complete-k", "binomial-hk", "uniform-hk", "file"])),
+             "--hypergraph-file", driver, *draw(_MODEL_FLAGS)]
+    sizes = ["--n", str(n), "--k", str(k)]
+    pair = ["--i", str(i), "--j", str(j)]
+    p = str(draw(st.sampled_from([0.0, 0.3, 1.0, 1.5])))
+    prop = draw(st.sampled_from(["has-edge", "connected", "no-isolated", "triangle-count",
+                                 "simple", "pair-adjacent"]))
+    return draw(st.sampled_from([
+        ["generate", *model, *sizes, "--p", p],
+        ["mc", *model, *sizes, "--p", p, "--property", prop, *pair, "--trials", "3"],
+        ["oracle", "--quantity", "prob", "--predicate", prop, *model, *sizes, *pair,
+         "--p", p, "--budget", "5000"],
+        ["oracle", "--quantity", "pair-dist", *model, *sizes, *pair, "--p", p],
+        # exact builds the complete driver whatever its size, so keep n small
+        ["exact", "--quantity", "pair-law", "--n", str(min(n, 8)), "--k", str(k), *pair, "--p", p],
+    ]))
+
+
+@st.composite
+def _config(draw):
+    """Config JSON text whose fields are valid, mistyped or missing at random."""
+    data = {"model": draw(st.sampled_from(["complete-k", "uniform-hk", "nope"])),
+            "n": draw(st.integers(1, 9)), "k": 3,
+            "p": draw(st.sampled_from([0.2, [0.1, 0.4], {"scale": "invnk", "c": [1]},
+                                       {"scale": ["x"], "c": [1]}, {"scale": "logn2", "c": ["a"]}])),
+            "property": draw(st.sampled_from(["connected", "pair-adjacent", "girth"])),
+            "trials": 2, "seed": 1, "m": 3, "i": 1, "j": draw(st.integers(0, 12))}
+    for key in draw(st.lists(st.sampled_from(sorted(data)), max_size=3)):
+        if draw(st.booleans()):
+            data.pop(key, None)
+        else:
+            data[key] = draw(_ODD)
+    return json.dumps(data)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_fuzz_exits_cleanly(tmp_path_factory, data):
+    # random models, sizes, pairs and configs: no traceback, only 0, 2 or 3
+    work = tmp_path_factory.getbasetemp()
+    driver = work / "driver.txt"
+    driver.write_text("n=5\n1 2 3\n1 4 5\n2 3 4\n")
+    if data.draw(st.booleans()):
+        argv = data.draw(_argv(str(driver)))
+    else:
+        config = work / "fuzz.json"
+        config.write_text(data.draw(_config()))
+        argv = ["mc", "--config", str(config)]
+    try:
+        code, _ = run_cli(*argv)
+    except SystemExit as exc:  # argparse rejecting a value
+        code = exc.code
+    assert code in (cli.EXIT_OK, cli.EXIT_INVALID, cli.EXIT_BUDGET), argv

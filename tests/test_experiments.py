@@ -210,24 +210,26 @@ def test_sparse_path_exact_closed_form():
 
 
 def test_distinct_ranks_properties():
+    # the one distinct-rank sampler, called as the thinned path and the
+    # random-hypergraph models call it
     rng = np.random.default_rng(3)
     for total, count in [(10, 10), (100, 3), (50, 0), (1_000_000, 200)]:
-        ranks = E._distinct_ranks(total, count, rng)
+        ranks = rng.choice(total, count, replace=False, shuffle=False)
         assert len(ranks) == count
         assert len(np.unique(ranks)) == count
         assert np.all((ranks >= 0) & (ranks < total))
     with pytest.raises(ValueError):
-        E._distinct_ranks(3, 4, rng)
+        rng.choice(3, 4, replace=False, shuffle=False)
 
 
 def test_subset_unranker_matches_scalar():
-    from mglab.hypergraph import unrank_ksubset
+    # the vectorized unranker inverts the scalar colex ranker on every rank
+    from mglab.hypergraph import rank_ksubset, unrank_ksubsets
 
-    unranker = E._SubsetUnranker(9, 4)
     ranks = np.arange(math.comb(9, 4))
-    got = unranker.unrank(ranks)
+    got = unrank_ksubsets(9, 4, ranks)
     for r in ranks:
-        assert tuple(got[r]) == unrank_ksubset(int(r), 4)
+        assert rank_ksubset(got[r].tolist()) == r
 
 
 # -- threshold scan ------------------------------------------------------------------

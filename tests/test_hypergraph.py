@@ -12,7 +12,7 @@ from mglab.hypergraph import (
     rank_ksubset,
     read_hypergraph,
     uniform_hypergraph,
-    unrank_ksubset,
+    unrank_ksubsets,
     write_hypergraph,
 )
 
@@ -132,8 +132,25 @@ def test_unrank_rank_roundtrip():
         for s in subsets:
             r = rank_ksubset(s)
             assert 0 <= r < math.comb(n, k)
-            assert unrank_ksubset(r, k) == s
+            assert tuple(unrank_ksubsets(n, k, [r])[0].tolist()) == s
         assert len({rank_ksubset(s) for s in subsets}) == len(subsets)
+
+
+def test_unrank_inverts_rank_up_to_int64():
+    # every rank of small spaces, then both ends and random ranks of spaces
+    # whose binomial tables pass 2^63 (C(70, 35)) or whose size nearly does
+    for n, k in [(9, 4), (7, 7), (12, 2)]:
+        ranks = np.arange(math.comb(n, k))
+        got = unrank_ksubsets(n, k, ranks)
+        assert [rank_ksubset(row) for row in got.tolist()] == ranks.tolist()
+    rng = np.random.default_rng(7)
+    for n, k in [(70, 60), (66, 33), (1000, 6)]:
+        total = math.comb(n, k)
+        assert total < 2**63
+        ranks = [0, total - 1, *(int(x) for x in rng.integers(0, total, size=200))]
+        got = unrank_ksubsets(n, k, np.array(ranks, dtype=np.int64))
+        assert np.all(np.diff(got, axis=1) > 0) and got.min() >= 1 and got.max() <= n
+        assert [rank_ksubset(row) for row in got.tolist()] == ranks
 
 
 def test_submultiset():
