@@ -19,7 +19,7 @@ import numpy as np
 from . import analytics, experiments, generator, oracle
 from .hypergraph import complete_uniform
 from .hypergraph import uniform_hypergraph  # noqa: F401  bound here for bench/tracing.py
-from .multigraph import PAIR_PROPERTIES, PROPERTIES, write_multigraph
+from .multigraph import PROPERTIES, write_multigraph
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -37,6 +37,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _cmd_generate(args) -> int:
     rng = experiments.substream(args.seed)
+    experiments.check_model(args)
     h = experiments.build_hypergraph(args, rng)
     g = generator.generate(h, args.p, rng)
     import io
@@ -106,6 +107,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rng = experiments.substream(args.seed)
+    experiments.check_model(args)
     h = experiments.build_hypergraph(args, rng)
     params = {"n": h.n, "p": args.p, "edges": len(h.edges)}
     if args.quantity == "prob":
@@ -267,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_mc)
 
     sp = sub.add_parser("scan", help="threshold scan over n and multiplier c, CSV output")
-    sp.add_argument(
-        "--property", required=True, choices=[p for p in PROPERTIES if p not in PAIR_PROPERTIES]
-    )
+    pairless = [name for name, entry in PROPERTIES.items() if not entry.pair]
+    sp.add_argument("--property", required=True, choices=pairless)
     sp.add_argument("--scale", required=True, choices=sorted(experiments.SCALE_FUNCTIONS))
     sp.add_argument("--c-list", required=True)
     sp.add_argument("--n-list", required=True)

@@ -102,9 +102,8 @@ def check_model(spec) -> int | None:
 
 
 def build_hypergraph(spec, rng: np.random.Generator) -> Hypergraph:
-    """The driving hypergraph of ``spec`` (see ``check_model``); the random
-    models draw it from ``rng``."""
-    check_model(spec)
+    """The driving hypergraph of a ``spec`` that ``check_model`` has passed;
+    the random models draw it from ``rng``."""
     if spec.model == "file":
         with open(spec.hypergraph_file) as f:
             return read_hypergraph(f)
@@ -198,8 +197,9 @@ class ExperimentConfig:
         return cls(**data)
 
     def validate(self) -> None:
+        """Check the config; a run checks the pair against its graphs' n."""
         check_model(self)
-        property_evaluator(self.property, self.n, self.i, self.j)
+        property_evaluator(self.property, None, self.i, self.j)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         for p in self.p_values():
@@ -237,7 +237,7 @@ class _TrialSampler:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self.total = check_model(cfg)
+        self.total = None if cfg.model == "file" else math.comb(cfg.n, cfg.k)
         self.sparse = self.total is not None and self.total > DENSE_LIMIT
         self.fixed: Hypergraph | None = None
         if cfg.model in ("complete-k", "file") and not self.sparse:
@@ -394,7 +394,7 @@ def coupling_check(
     built-in monotone property must not drop when p rises."""
     if p1 > p2:
         raise ValueError(f"need p1 <= p2, got {p1} > {p2}")
-    monotone = {name: evaluate for name, (evaluate, increasing) in PROPERTIES.items() if increasing}
+    monotone = {name: entry.evaluate for name, entry in PROPERTIES.items() if entry.increasing}
     failures = 0
     identical = 0
     hits1 = dict.fromkeys(monotone, 0)

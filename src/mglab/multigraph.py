@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 from .hypergraph import check_pair
 
@@ -14,7 +14,7 @@ __all__ = [
     "read_multigraph",
     "write_multigraph",
     "PROPERTIES",
-    "PAIR_PROPERTIES",
+    "GraphProperty",
     "property_evaluator",
 ]
 
@@ -145,20 +145,26 @@ def _triangles(g: Multigraph) -> Evaluation:
     return count > 0, float(count)
 
 
-# The graph properties: name -> (evaluator g -> (holds, statistic or None),
-# increasing in p). Methods are called through the instance so wrappers
-# installed on the class see every call. The monotone entries come in the
-# order ``couple`` reports them.
-PROPERTIES: dict[str, tuple[Callable[..., Evaluation], bool]] = {
-    "has-edge": (lambda g: (len(g.edge_mult) > 0, None), True),
-    "connected": (lambda g: (g.is_connected(), None), True),
-    "no-isolated": (_isolated, True),
-    "triangle-count": (_triangles, True),
-    "simple": (lambda g: (g.is_simple(), None), False),
-    "pair-adjacent": (lambda g, i, j: (g.multiplicity(i, j) >= 1, None), False),
+class GraphProperty(NamedTuple):
+    """One entry of the property table."""
+
+    # g -> (holds, statistic or None); a pair property takes (g, i, j).
+    evaluate: Callable[..., Evaluation]
+    increasing: bool
+    pair: bool = False
+
+
+# The graph properties by name. Methods are called through the instance so
+# wrappers installed on the class see every call. The monotone entries come
+# in the order ``couple`` reports them.
+PROPERTIES: dict[str, GraphProperty] = {
+    "has-edge": GraphProperty(lambda g: (len(g.edge_mult) > 0, None), True),
+    "connected": GraphProperty(lambda g: (g.is_connected(), None), True),
+    "no-isolated": GraphProperty(_isolated, True),
+    "triangle-count": GraphProperty(_triangles, True),
+    "simple": GraphProperty(lambda g: (g.is_simple(), None), False),
+    "pair-adjacent": GraphProperty(lambda g, i, j: (g.multiplicity(i, j) >= 1, None), False, True),
 }
-# Properties of a vertex pair; their evaluators take (g, i, j).
-PAIR_PROPERTIES = ("pair-adjacent",)
 
 
 def property_evaluator(
@@ -168,8 +174,8 @@ def property_evaluator(
     pair property; the pair must be two distinct vertices of 1..n."""
     if name not in PROPERTIES:
         raise ValueError(f"unknown property {name!r}; choose from {tuple(PROPERTIES)}")
-    evaluate = PROPERTIES[name][0]
-    if name not in PAIR_PROPERTIES:
+    evaluate, _, pair = PROPERTIES[name]
+    if not pair:
         return evaluate
     if i is None or j is None:
         raise ValueError(f"property {name} needs vertices i and j")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .analytics import DiscreteDistribution, binomial_distribution
 from .hypergraph import Hypergraph, check_pair, check_probability
-from .multigraph import PAIR_PROPERTIES, Multigraph, property_evaluator
+from .multigraph import PROPERTIES, Multigraph, property_evaluator
 
 __all__ = [
     "PropertyPredicate",
@@ -76,7 +76,7 @@ def predicate_by_name(
 ) -> PropertyPredicate:
     """The property table's entry as a predicate; a pair property is bound
     to (i, j), which must be two distinct vertices of 1..n."""
-    if name not in PAIR_PROPERTIES:
+    if name not in PROPERTIES or not PROPERTIES[name].pair:
         return _table_predicate(name)
     evaluate = property_evaluator(name, n, i, j)
     return PropertyPredicate(f"{name}({i},{j})", lambda g: evaluate(g)[0])
@@ -133,12 +133,11 @@ def exact_property_probability(
         patterns = list(range(1 << m))
         weights = [p ** b.bit_count() * (1.0 - p) ** (m - b.bit_count()) for b in patterns]
 
-    # Per pattern, the hyperedges whose coin succeeds.
-    kept = [[idx for idx in range(m) if bits >> idx & 1] for bits in patterns]
     total = 0.0
     for selection in product(*choice_lists):
-        for idx, w in zip(kept, weights):
-            if pred(Multigraph.from_pairs(h.n, [selection[i] for i in idx])):
+        for bits, w in zip(patterns, weights):
+            kept = [d for idx, d in enumerate(selection) if bits >> idx & 1]
+            if pred(Multigraph.from_pairs(h.n, kept)):
                 total += w
     return total / (math.prod(radices) if radices else 1)
 

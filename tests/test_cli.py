@@ -230,6 +230,20 @@ def test_bad_vertex_pair_exits_2(argv, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+def test_file_model_checks_pair_against_file_vertex_count(tmp_path, capsys):
+    # The file names 5 vertices; --n is not the graph's vertex count.
+    path = tmp_path / "h.txt"
+    path.write_text("n=5\n1 2 3\n1 4 5\n2 3 4\n")
+    base = ["mc", "--model", "file", "--hypergraph-file", str(path), "--k", "3",
+            "--p", "1", "--property", "pair-adjacent", "--trials", "300", "--seed", "1"]
+    code, out = run_cli(*base, "--n", "3", "--i", "1", "--j", "4")
+    assert code == 0
+    assert 0 < int(out.splitlines()[1].split(",")[1]) < 300  # 1~4 only via {1,4,5}
+    code, out = run_cli(*base, "--n", "10", "--i", "1", "--j", "7")
+    assert code == cli.EXIT_INVALID and out == ""
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 @pytest.mark.parametrize("model_args", [
     ["--model", "complete-k"],
     ["--model", "binomial-hk", "--q", "0.5"],
@@ -262,7 +276,7 @@ def test_scan_accepts_triangle_count():
 
 def test_property_names_come_from_the_one_table():
     from mglab import oracle
-    from mglab.multigraph import PAIR_PROPERTIES, PROPERTIES
+    from mglab.multigraph import PROPERTIES
 
     def choices(command):
         sub = cli.build_parser()._subparsers._group_actions[0].choices[command]
@@ -270,14 +284,14 @@ def test_property_names_come_from_the_one_table():
         return list(action.choices)
 
     assert choices("mc") == list(PROPERTIES)
-    assert choices("scan") == [name for name in PROPERTIES if name not in PAIR_PROPERTIES]
+    assert choices("scan") == [name for name, entry in PROPERTIES.items() if not entry.pair]
     for name in PROPERTIES:
         assert oracle.predicate_by_name(name, 1, 2).name.startswith(name)
 
     code, out = run_cli("couple", "--p1", "0.1", "--p2", "0.3", "--n", "8", "--k", "3",
                         "--trials", "20", "--seed", "1")
     reported = [line[2:line.index(")")] for line in out.splitlines() if line.startswith("P(")]
-    assert reported == [name for name, (_, monotone) in PROPERTIES.items() if monotone]
+    assert reported == [name for name, entry in PROPERTIES.items() if entry.increasing]
     assert reported == ["has-edge", "connected", "no-isolated", "triangle-count"]
 
 
