@@ -68,11 +68,10 @@ def _cmd_exact(args) -> int:
             value = analytics.degree_law_binomial_model(args.n, args.k, args.p, q).pmf
     elif name == "pair-law":
         params["k"] = args.k
-        h = complete_uniform(args.n, args.k)
         i = args.i if args.i is not None else 1
         j = args.j if args.j is not None else 2
         params.update(i=i, j=j)
-        value = analytics.pair_edge_law(h, i, j, args.p).pmf
+        value = analytics.pair_law_complete(args.n, args.k, i, j, args.p).pmf
     elif name == "expected-isolated":
         params["k"] = args.k
         value = analytics.expected_isolated(args.n, args.k, args.p)
@@ -108,6 +107,15 @@ def _cmd_exact(args) -> int:
 def _cmd_oracle(args) -> int:
     rng = experiments.substream(args.seed)
     experiments.check_model(args)
+    if args.quantity == "pair-dist" and (args.i is None or args.j is None):
+        raise ValueError("pair-dist needs --i and --j")
+    if args.model in ("complete-k", "uniform-hk"):
+        if args.quantity == "prob":
+            oracle.predicate_by_name(args.predicate, args.i, args.j, args.n)
+        m = args.m if args.model == "uniform-hk" else None
+        oracle.check_uniform_budget(
+            args.quantity, args.n, args.k, m, args.p, args.budget, (args.i, args.j)
+        )
     h = experiments.build_hypergraph(args, rng)
     params = {"n": h.n, "p": args.p, "edges": len(h.edges)}
     if args.quantity == "prob":
@@ -119,8 +127,6 @@ def _cmd_oracle(args) -> int:
         value = oracle.exact_expected_triangles(h, args.p, budget=args.budget)
         states = oracle.triangle_enumeration_states(h, args.p)
     elif args.quantity == "pair-dist":
-        if args.i is None or args.j is None:
-            raise ValueError("pair-dist needs --i and --j")
         params.update(i=args.i, j=args.j)
         dist = oracle.exact_edge_count_distribution(h, args.p, (args.i, args.j), budget=args.budget)
         value = dist.pmf.tolist()

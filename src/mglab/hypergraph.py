@@ -80,9 +80,6 @@ class Hypergraph:
         key = frozenset(a)
         return sum(1 for e in self.edges if key.issubset(e))
 
-    def edge_sizes(self) -> np.ndarray:
-        return np.array([len(e) for e in self.edges], dtype=np.int64)
-
     def is_submultiset_of(self, other: "Hypergraph") -> bool:
         """True when every hyperedge occurs in ``other`` at least as often."""
         if self.n != other.n:

@@ -14,10 +14,11 @@ refused above the caller's budget.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -41,6 +42,7 @@ __all__ = [
     "exact_edge_count_distribution",
     "enumeration_states",
     "triangle_enumeration_states",
+    "check_uniform_budget",
 ]
 
 DEFAULT_BUDGET = 10**9
@@ -99,15 +101,60 @@ def enumeration_states(h: Hypergraph, p: float) -> int:
     return sel * (1 if p in (0.0, 1.0) else 2 ** len(h.edges))
 
 
-def _log_states(radices: Iterable[int], npatterns_log2: int) -> float:
-    return sum(math.log(r) for r in radices) + npatterns_log2 * math.log(2.0)
-
-
-def _check_budget(radices: list[int], npatterns_log2: int, budget: int) -> None:
-    if _log_states(radices, npatterns_log2) > math.log(budget) + 1e-12:
+def _check_budget(radix_counts: dict[int, int], npatterns_log2: int, budget: int) -> None:
+    """Refuse shadow selections over hyperedges with these doubleton counts
+    (radix -> hyperedges), times 2^npatterns_log2 coin patterns, above the
+    budget; compared in logs to dodge overflow."""
+    log_states = sum(c * math.log(r) for r, c in radix_counts.items())
+    if log_states + npatterns_log2 * math.log(2.0) > math.log(budget) + 1e-12:
         raise BudgetExceededError(
             f"enumeration needs more than the budget of {budget} evaluations"
         )
+
+
+def check_uniform_budget(
+    quantity: str,
+    n: int,
+    k: int,
+    m: int | None,
+    p: float,
+    budget: int,
+    pair: tuple[int, int] | None = None,
+) -> None:
+    """Refuse an over-budget enumeration on a built-in k-uniform driver
+    before it is built: complete(n, k) when m is None, else m distinct
+    k-subsets.
+
+    Every hyperedge offers C(k, 2) doubletons, so the budget test needs only
+    hyperedge counts. For complete(n, k) they are the ones the enumeration
+    tests first. For the uniform driver ``prob`` counts all m, ``triangles``
+    the average over triples (the busiest triple has at least that many) and
+    ``pair-dist`` the fewest that the draw can put on the pair. So this
+    refuses only what the enumeration would refuse, and the argument checks
+    the enumeration makes first come first here too.
+    """
+    check_probability(p, "p")
+    total = math.comb(n, k)
+    edges = total if m is None else m
+    patterns = 0
+    if quantity == "prob":
+        relevant = edges
+        patterns = 0 if p in (0.0, 1.0) else edges
+    elif quantity == "triangles":
+        if n < 3:
+            return
+        # Hyperedges of complete(n, k) sharing two or three vertices with a triple.
+        per_triple = 3 * math.comb(n - 3, k - 2) + (math.comb(n - 3, k - 3) if k >= 3 else 0)
+        relevant = -(-edges * per_triple // total)
+    elif quantity == "pair-dist":
+        check_pair(*pair, n)
+        relevant = max(0, edges - total + math.comb(n - 2, k - 2))
+    else:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    # Like the enumeration, test every prob run but no triple or pair that no
+    # hyperedge reaches.
+    if relevant or quantity == "prob":
+        _check_budget({math.comb(k, 2): relevant}, patterns, budget)
 
 
 def exact_property_probability(
@@ -121,10 +168,10 @@ def exact_property_probability(
     """
     check_probability(p, "p")
     m = len(h.edges)
-    choice_lists = [list(combinations(e, 2)) for e in h.edges]
-    radices = [len(c) for c in choice_lists]
+    radices = [math.comb(len(e), 2) for e in h.edges]
     degenerate = p in (0.0, 1.0)
-    _check_budget(radices, 0 if degenerate else m, budget)
+    _check_budget(Counter(radices), 0 if degenerate else m, budget)
+    choice_lists = [list(combinations(e, 2)) for e in h.edges]
 
     if degenerate:
         patterns = [(1 << m) - 1 if p == 1.0 else 0]
@@ -175,7 +222,7 @@ def _triple_adjacency_probability(
     if not relevant:
         return 0.0
     radices = [math.comb(len(e), 2) for e in relevant]
-    _check_budget(radices, 0, budget)
+    _check_budget(Counter(radices), 0, budget)
 
     # hit[e][r]: which of the triple's pairs (0..2) doubleton r of hyperedge
     # e lands on, 3 when it misses the triple.
@@ -224,7 +271,7 @@ def exact_edge_count_distribution(
     if not relevant:
         return DiscreteDistribution.point_mass(0)
     radices = [math.comb(len(e), 2) for e in relevant]
-    _check_budget(radices, 0, budget)
+    _check_budget(Counter(radices), 0, budget)
 
     match_flags = [[d == key for d in combinations(e, 2)] for e in relevant]
     width = len(relevant)

@@ -88,6 +88,90 @@ def test_hypergeometric_against_sample_enumeration():
     assert np.max(np.abs(A.hypergeometric(N, M, a).pmf - want)) < 1e-12
 
 
+# -- float kernels against exact rationals --------------------------------------
+# The references are exact rationals kept as integer numerators over one
+# denominator: reducing each to a Fraction would cost a gcd of numbers
+# 270,000 bits long per term at Bin(5000, 1/3).
+
+
+def _exact_float(num: int, den: int) -> float:
+    """num / den for huge integers, from 64-bit heads (relative error < 2^-60)."""
+    sn, sd = max(num.bit_length() - 64, 0), max(den.bit_length() - 64, 0)
+    return math.ldexp((num >> sn) / (den >> sd), sn - sd)
+
+
+def _exact_binomial(m, q):
+    """Bin(m, q) for the rational a/d the float q holds exactly: term j is
+    C(m,j) a^j b^(m-j) over d^m, with b = d - a."""
+    a, d = q.as_integer_ratio()
+    b = d - a
+    terms = [b**m]
+    for j in range(m):  # exact integer division
+        terms.append(terms[-1] * (m - j) * a // ((j + 1) * b))
+    mid = m // 2
+    assert terms[mid] == math.comb(m, mid) * a**mid * b ** (m - mid)
+    return terms, d**m
+
+
+def _exact_hypergeometric(N, M, a):
+    lo, hi = max(0, a - (N - M)), min(M, a)
+    terms = [0] * lo + [math.comb(M, lo) * math.comb(N - M, a - lo)]
+    for j in range(lo, hi):
+        terms.append(terms[-1] * (M - j) * (a - j) // ((j + 1) * (N - M - a + j + 1)))
+    assert terms[hi] == math.comb(M, hi) * math.comb(N - M, a - hi)
+    return terms, math.comb(N, a)
+
+
+def _assert_matches_exact(pmf, exact):
+    terms, den = exact
+    assert sum(terms) == den
+    want = np.array([_exact_float(t, den) if t else 0.0 for t in terms])
+    assert len(pmf) == len(want)
+    keep = want > 1e-290
+    assert np.all(np.abs(pmf[keep] - want[keep]) <= 1e-12 * want[keep])
+    assert np.all(pmf[~keep] <= 1e-290)
+
+
+@pytest.mark.parametrize("m, q", [
+    (1, 0.5), (7, 0.17), (30, 0.9), (2000, 0.999), (3000, 1e-3), (5000, 1 / 3),
+])
+def test_binomial_matches_exact_rationals(m, q):
+    _assert_matches_exact(A.binomial_distribution(m, q).pmf, _exact_binomial(m, q))
+
+
+@pytest.mark.parametrize("N, M, a", [
+    (10, 4, 3), (20, 15, 12), (4060, 27, 999), (4060, 27, 1000),
+    (1_313_400, 19_701, 5000), (2**62, 2**40, 3000),
+])
+def test_hypergeometric_matches_exact_rationals(N, M, a):
+    _assert_matches_exact(A.hypergeometric(N, M, a).pmf, _exact_hypergeometric(N, M, a))
+
+
+def test_kernels_give_exact_point_masses():
+    for m in [0, 1, 9]:
+        assert A.binomial_distribution(m, 0.0).pmf.tolist() == [1.0] + [0.0] * m
+        assert A.binomial_distribution(m, 1.0).pmf.tolist() == [0.0] * m + [1.0]
+    assert A.binomial_distribution(0, 0.4).pmf.tolist() == [1.0]
+    assert A.hypergeometric(9, 0, 4).pmf.tolist() == [1.0]
+    assert A.hypergeometric(9, 3, 0).pmf.tolist() == [1.0]
+    assert A.hypergeometric(9, 3, 9).pmf.tolist() == [0.0, 0.0, 0.0, 1.0]
+    assert A.hypergeometric(6, 6, 4).pmf.tolist() == [0.0] * 4 + [1.0]
+    assert A.hypergeometric(2**62, 2**62, 5).pmf.tolist() == [0.0] * 5 + [1.0]
+
+
+def test_kernels_refuse_supports_too_wide_to_hold():
+    with pytest.raises(ValueError):
+        A.binomial_distribution(A.MAX_SUPPORT, 0.5)
+    with pytest.raises(ValueError):
+        A.hypergeometric(2**62, 2**40, A.MAX_SUPPORT)
+
+
+def test_degree_law_binomial_model_at_scan_sizes():
+    d = A.degree_law_binomial_model(400, 3, 0.5, 1.0)
+    assert len(d) == math.comb(399, 2) + 1
+    assert d.mean() == pytest.approx(math.comb(399, 2) / 3, rel=1e-12)
+
+
 def test_hypergeometric_rejects_bad_bounds():
     with pytest.raises(ValueError):
         A.hypergeometric(4, 5, 2)
@@ -125,6 +209,16 @@ def test_pair_edge_law_cases():
     assert np.allclose(two.pmf, [4 / 9, 4 / 9, 1 / 9])
     with pytest.raises(ValueError):
         A.pair_edge_law(h, 2, 2, 0.5)
+
+
+def test_pair_law_complete_matches_built_driver():
+    for n, k, i, j, p in [(6, 3, 2, 5, 0.6), (7, 4, 1, 7, 0.9), (5, 2, 3, 4, 0.3), (6, 6, 1, 2, 1.0)]:
+        built = A.pair_edge_law(complete_uniform(n, k), i, j, p)
+        assert A.pair_law_complete(n, k, i, j, p).tv_distance(built) < 1e-12
+    with pytest.raises(ValueError):
+        A.pair_law_complete(6, 3, 2, 2, 0.5)
+    with pytest.raises(ValueError):
+        A.pair_law_complete(6, 3, 1, 2, 1.5)
 
 
 def test_degree_law_binomial_model():

@@ -112,6 +112,43 @@ def test_exact_missing_parameter():
     assert code == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("sizes", [
+    ["--n", "47", "--k", "3"],
+    ["--n", "400", "--k", "3"],
+    ["--n", "21", "--k", "4"],
+    ["--n", "21", "--k", "4", "--m", "100"],
+])
+def test_exact_degree_law_at_monte_carlo_sizes(sizes):
+    code, out = run_cli("exact", "--quantity", "degree-law", *sizes, "--p", "0.5", "--json")
+    assert code == 0
+    assert sum(json.loads(out)["value"]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--quantity", "prob", "--predicate", "simple", "--model", "complete-k"],
+    ["--quantity", "prob", "--predicate", "connected", "--model", "uniform-hk", "--m", "100"],
+    ["--quantity", "triangles", "--model", "complete-k"],
+    ["--quantity", "triangles", "--model", "uniform-hk", "--m", "50000"],
+    ["--quantity", "pair-dist", "--model", "complete-k", "--i", "1", "--j", "2"],
+    ["--quantity", "pair-dist", "--model", "uniform-hk", "--m", "487635", "--i", "1", "--j", "2"],
+])
+def test_oracle_refuses_budget_before_building_driver(monkeypatch, argv):
+    from mglab import experiments, hypergraph
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the driver was built")
+
+    monkeypatch.setattr(experiments, "build_hypergraph", refuse)
+    monkeypatch.setattr(experiments, "complete_uniform", refuse)
+    monkeypatch.setattr(hypergraph, "complete_uniform", refuse)
+    monkeypatch.setattr(cli, "complete_uniform", refuse)
+    code, out = run_cli("oracle", *argv, "--n", "60", "--k", "4", "--p", "0.5", "--budget", "10")
+    assert code == cli.EXIT_BUDGET and out == ""
+    # exact pair-law needs no driver either
+    code, out = run_cli("exact", "--quantity", "pair-law", "--n", "3000", "--k", "3", "--p", "0.5")
+    assert code == 0 and len(out.split()) == 2999
+
+
 def test_oracle_json_and_budget():
     code, out = run_cli("oracle", "--quantity", "prob", "--predicate", "has-edge",
                         "--model", "complete-k", "--n", "4", "--k", "3", "--p", "0.5")
@@ -313,6 +350,8 @@ def _argv(draw, driver):
     sizes = ["--n", str(n), "--k", str(k)]
     pair = ["--i", str(i), "--j", str(j)]
     p = str(draw(st.sampled_from([0.0, 0.3, 1.0, 1.5])))
+    big = draw(st.integers(-1, 400))
+    law_flags = draw(_MODEL_FLAGS)
     prop = draw(st.sampled_from(["has-edge", "connected", "no-isolated", "triangle-count",
                                  "simple", "pair-adjacent"]))
     return draw(st.sampled_from([
@@ -321,8 +360,10 @@ def _argv(draw, driver):
         ["oracle", "--quantity", "prob", "--predicate", prop, *model, *sizes, *pair,
          "--p", p, "--budget", "5000"],
         ["oracle", "--quantity", "pair-dist", *model, *sizes, *pair, "--p", p],
-        # exact builds the complete driver whatever its size, so keep n small
-        ["exact", "--quantity", "pair-law", "--n", str(min(n, 8)), "--k", str(k), *pair, "--p", p],
+        ["exact", "--quantity", "pair-law", *sizes, *pair, "--p", p],
+        ["exact", "--quantity", "degree-law", "--n", str(big), "--k", str(k), *law_flags, "--p", p],
+        # the triangles-u3 loop is cubic in n - 3
+        ["exact", "--quantity", "triangles-u3", "--n", str(min(big, 60)), *law_flags, "--p", p],
     ]))
 
 

@@ -106,6 +106,31 @@ def test_budget_refusal():
     assert O.exact_property_probability(complete_uniform(4, 3), 1.0, O.SIMPLE, budget=100) >= 0
 
 
+@pytest.mark.parametrize("quantity, n, k, states", [
+    ("prob", 4, 3, 3**4 * 2**4),  # all 4 hyperedges, 2^4 coin patterns
+    ("triangles", 5, 3, 3**7),  # 3·C(2,1) + C(2,0) hyperedges meet a triple in >= 2
+    ("triangles", 5, 4, 6**5),  # 3·C(2,2) + C(2,1)
+    ("pair-dist", 6, 3, 3**4),  # C(4,1) hyperedges hold the pair
+])
+def test_uniform_budget_check_is_the_enumerations_first_test(quantity, n, k, states):
+    h = complete_uniform(n, k)
+    enumerate_with = {
+        "prob": lambda b: O.exact_property_probability(h, 0.5, O.HAS_EDGE, budget=b),
+        "triangles": lambda b: O.exact_expected_triangles(h, 0.5, budget=b),
+        "pair-dist": lambda b: O.exact_edge_count_distribution(h, 0.5, (1, 2), budget=b),
+    }[quantity]
+    for budget in (states - 1, states):
+        refused = []
+        for check in (lambda: O.check_uniform_budget(quantity, n, k, None, 0.5, budget, (1, 2)),
+                      lambda: enumerate_with(budget)):
+            try:
+                check()
+                refused.append(False)
+            except O.BudgetExceededError:
+                refused.append(True)
+        assert refused == [budget < states] * 2
+
+
 def test_enumeration_state_counts():
     h = complete_uniform(4, 3)
     assert O.enumeration_states(h, 0.5) == 3**4 * 2**4
