@@ -16,9 +16,8 @@ import sys
 
 import numpy as np
 
-from . import analytics, experiments, generator, oracle
-from .hypergraph import complete_uniform
-from .hypergraph import uniform_hypergraph  # noqa: F401  bound here for bench/tracing.py
+from . import analytics, experiments, oracle
+from .hypergraph import check_probability, complete_uniform, uniform_hypergraph
 from .multigraph import PROPERTIES, write_multigraph
 
 EXIT_OK = 0
@@ -36,10 +35,9 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _cmd_generate(args) -> int:
-    rng = experiments.substream(args.seed)
     experiments.check_model(args)
-    h = experiments.build_hypergraph(args, rng)
-    g = generator.generate(h, args.p, rng)
+    check_probability(args.p, "p")
+    g = experiments._TrialSampler(args).sample(args.p, experiments.substream(args.seed))
     import io
 
     buf = io.StringIO()
@@ -109,14 +107,21 @@ def _cmd_oracle(args) -> int:
     experiments.check_model(args)
     if args.quantity == "pair-dist" and (args.i is None or args.j is None):
         raise ValueError("pair-dist needs --i and --j")
-    if args.model in ("complete-k", "uniform-hk"):
+    m = args.m if args.model == "uniform-hk" else None
+    if args.model == "binomial-hk":
+        # binomial_hypergraph's first draw; given it, the driver is the
+        # uniform one, whose subsets come next from the same stream.
+        m = int(rng.binomial(math.comb(args.n, args.k), args.q))
+    if args.model != "file":
         if args.quantity == "prob":
             oracle.predicate_by_name(args.predicate, args.i, args.j, args.n)
-        m = args.m if args.model == "uniform-hk" else None
         oracle.check_uniform_budget(
             args.quantity, args.n, args.k, m, args.p, args.budget, (args.i, args.j)
         )
-    h = experiments.build_hypergraph(args, rng)
+    if m is None:
+        h = experiments.build_hypergraph(args, rng)
+    else:
+        h = uniform_hypergraph(args.n, args.k, m, rng)
     params = {"n": h.n, "p": args.p, "edges": len(h.edges)}
     if args.quantity == "prob":
         pred = oracle.predicate_by_name(args.predicate, args.i, args.j, h.n)

@@ -233,9 +233,13 @@ class ExperimentConfig:
 
 
 class _TrialSampler:
-    """Per-config multigraph sampler choosing the dense or thinned path."""
+    """Per-config multigraph sampler choosing the dense or thinned path.
 
-    def __init__(self, cfg: ExperimentConfig):
+    ``cfg`` is anything ``check_model`` accepts and has passed: an
+    ExperimentConfig or parsed ``generate`` arguments.
+    """
+
+    def __init__(self, cfg):
         self.cfg = cfg
         self.total = None if cfg.model == "file" else math.comb(cfg.n, cfg.k)
         self.sparse = self.total is not None and self.total > DENSE_LIMIT
@@ -268,7 +272,7 @@ class _TrialSampler:
         rows = np.arange(count)
         u = members[rows, local[:, 0]]
         v = members[rows, local[:, 1]]
-        return Multigraph.from_pairs(cfg.n, zip(u.tolist(), v.tolist()))
+        return Multigraph._from_arrays(cfg.n, u, v)
 
 
 def run_monte_carlo(cfg: ExperimentConfig) -> list[TrialSummary]:

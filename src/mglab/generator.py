@@ -120,7 +120,7 @@ def generate(h: Hypergraph, p: float, rng: np.random.Generator) -> Multigraph:
     check_probability(p, "p")
     u, v = _draw_doubletons(h, rng)
     keep = rng.random(len(u)) < p
-    return _graph_from_arrays(h.n, u[keep], v[keep])
+    return Multigraph._from_arrays(h.n, u[keep], v[keep])
 
 
 def coupled_generate(
@@ -142,7 +142,8 @@ def coupled_generate(
     upgrade_draw = rng.random(m)
     p_up = 0.0 if p1 >= 1.0 else (p2 - p1) / (1.0 - p1)
     upgraded = base | (upgrade_draw < p_up)
-    return _graph_from_arrays(h.n, u[base], v[base]), _graph_from_arrays(h.n, u[upgraded], v[upgraded])
+    return (Multigraph._from_arrays(h.n, u[base], v[base]),
+            Multigraph._from_arrays(h.n, u[upgraded], v[upgraded]))
 
 
 def coupled_generate_nested(
@@ -164,17 +165,12 @@ def coupled_generate_nested(
 
     u1, v1 = _draw_doubletons(h1, rng)
     keep1 = rng.random(len(u1)) < p
-    g = _graph_from_arrays(h1.n, u1[keep1], v1[keep1])
+    u1, v1 = u1[keep1], v1[keep1]
 
     # surplus edges come out of h2 already canonical
     extra = Hypergraph._from_canonical(h2.n, extra_edges)
     u2, v2 = _draw_doubletons(extra, rng)
     keep2 = rng.random(len(u2)) < p
-    merged = Counter(g.edge_mult)
-    merged.update(zip(u2[keep2].tolist(), v2[keep2].tolist()))
-    return g, Multigraph(h2.n, merged)
-
-
-def _graph_from_arrays(n: int, u: np.ndarray, v: np.ndarray) -> Multigraph:
-    return Multigraph.from_pairs(n, zip(u.tolist(), v.tolist()))
+    return Multigraph._from_arrays(h1.n, u1, v1), Multigraph._from_arrays(
+        h2.n, np.concatenate((u1, u2[keep2])), np.concatenate((v1, v2[keep2])))
 

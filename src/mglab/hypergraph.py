@@ -132,24 +132,47 @@ def unrank_ksubsets(n: int, k: int, ranks: np.ndarray) -> np.ndarray:
 
     Inverse of rank = sum_i C(member_i - 1, i) over the sorted 1-based
     members: from i = k down, member_i - 1 is the largest c with
-    C(c, i) <= the remaining rank.
+    C(c, i) <= the remaining rank. At i = 1 that c is the rank itself.
     """
-    r = np.asarray(ranks, dtype=np.int64).copy()
+    r = np.asarray(ranks, dtype=np.int64).astype(np.uint64)
     out = np.empty((len(r), k), dtype=np.int64)
-    for i, table in zip(range(k, 0, -1), reversed(_binomial_tables(n, k))):
-        c = np.searchsorted(table, r, side="right") - 1
+    tables = _binomial_tables(n, k)
+    for i in range(k, 1, -1):
+        table = tables[i - 1]
+        c = _largest_at_most(table, r, i)
         r -= table[c]
         out[:, i - 1] = c + 1
+    out[:, 0] = r + 1
     return out
+
+
+def _largest_at_most(table: np.ndarray, r: np.ndarray, i: int) -> np.ndarray:
+    """For each r, the largest c with table[c] = C(c, i) <= r (i >= 2).
+
+    C(c, i) <= (c - (i-1)/2)^i / i! (arithmetic against geometric mean of
+    c, c-1, ..., c-i+1), so solving the right side for r gives an estimate
+    that is at most the answer, and within one of it unless i is a large
+    share of c. One step up against the exact table fixes it; the rows it
+    leaves wrong, rounding included, are searched.
+    """
+    top = len(table) - 1
+    # log(i!) in Python: i! itself overflows a float from i = 171.
+    estimate = np.exp((np.log(np.maximum(r, 1)) + math.lgamma(i + 1)) / i) + (i - 1) / 2
+    c = np.clip(estimate, i - 1, top - 1).astype(np.int64)
+    c += table[c + 1] <= r
+    missed = (table[c] > r) | (table[np.minimum(c + 1, top)] <= r)
+    if missed.any():
+        c[missed] = np.searchsorted(table, r[missed], side="right") - 1
+    return c
 
 
 @lru_cache(maxsize=32)
 def _binomial_tables(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """C(c, i) for c = 0..n, one table per i = 1..k, capped at the int64
-    maximum (ranks stay below 2^63, so a capped entry is never selected)."""
-    cap = np.iinfo(np.int64).max
+    """C(c, i) for c = 0..n, one uint64 table per i = 1..k, capped at
+    2^64 - 1 (ranks are int64, so a capped entry is never selected)."""
+    cap = np.iinfo(np.uint64).max
     return tuple(
-        np.array([min(math.comb(c, i), cap) for c in range(n + 1)], dtype=np.int64)
+        np.array([min(math.comb(c, i), cap) for c in range(n + 1)], dtype=np.uint64)
         for i in range(1, k + 1)
     )
 

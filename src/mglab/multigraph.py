@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import IO, Callable, Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .hypergraph import check_pair
 
@@ -21,17 +22,27 @@ __all__ = [
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class Multigraph:
     """A multigraph on vertices 1..n without self-loops.
 
-    ``edge_mult`` maps each present unordered pair (stored as an increasing
-    tuple) to its positive edge multiplicity; absent pairs have multiplicity
-    zero. Treat instances as immutable: every property check is pure.
+    A graph keeps one of two storages. A graph built in Python (the
+    constructor, ``from_pairs``, ``read_multigraph``) holds ``edge_mult``, a
+    dict mapping each present unordered pair (an increasing tuple) to its
+    positive multiplicity; absent pairs have multiplicity zero. A sampled
+    graph holds its kept doubletons as two int64 arrays with u < v
+    elementwise, a repeated pair being a parallel edge; its ``edge_mult`` is
+    derived from the arrays on first access and then cached. The edge
+    count, isolated-vertex, simplicity, multiplicity and connectivity
+    queries answer from the arrays when there are any. Treat instances as
+    immutable: every property check is pure.
     """
 
     n: int
-    edge_mult: dict[Pair, int]
+    # Class defaults: a dict-backed graph sets only ``_mult``, an
+    # array-backed one ``_u`` and ``_v`` (and ``_mult`` once derived).
+    _mult: dict[Pair, int] | None = None
+    _u: np.ndarray | None = None
+    _v: np.ndarray | None = None
 
     def __init__(self, n: int, edge_mult: Mapping[Pair, int] | None = None):
         if n < 0:
@@ -44,7 +55,7 @@ class Multigraph:
             key = (i, j) if i < j else (j, i)
             cleaned[key] = cleaned.get(key, 0) + mult
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_mult", cleaned)
+        object.__setattr__(self, "_mult", cleaned)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "Multigraph":
@@ -52,19 +63,66 @@ class Multigraph:
         counts = Counter((i, j) if i < j else (j, i) for i, j in pairs)
         g = cls.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edge_mult", dict(counts))
+        object.__setattr__(g, "_mult", dict(counts))
         return g
 
+    @classmethod
+    def _from_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Multigraph":
+        """Array-backed graph of the doubletons (u[t], v[t]) (internal: the
+        int64 arrays must satisfy 1 <= u < v <= n and are not copied)."""
+        g = cls.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "_u", u)
+        object.__setattr__(g, "_v", v)
+        return g
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Multigraph is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Multigraph):
+            return NotImplemented
+        return self.n == other.n and self.edge_mult == other.edge_mult
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Multigraph(n={self.n!r}, edge_mult={self.edge_mult!r})"
+
+    @property
+    def edge_mult(self) -> dict[Pair, int]:
+        if self._mult is None:
+            u, v, first = self._sorted_runs()
+            counts = np.diff(np.flatnonzero(first), append=len(u))
+            mult = dict(zip(zip(u[first].tolist(), v[first].tolist()), counts.tolist()))
+            object.__setattr__(self, "_mult", mult)
+        return self._mult
+
+    def _sorted_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Array-backed graphs: the doubletons sorted by pair, and where
+        each pair's run of parallel edges starts."""
+        order = np.lexsort((self._v, self._u))
+        u, v = self._u[order], self._v[order]
+        first = np.ones(len(u), dtype=bool)
+        first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        return u, v, first
+
     def total_edges(self) -> int:
-        return sum(self.edge_mult.values())
+        if self._u is not None:
+            return len(self._u)
+        return sum(self._mult.values())
 
     def multiplicity(self, i: int, j: int) -> int:
-        key = (i, j) if i < j else (j, i)
-        return self.edge_mult.get(key, 0)
+        a, b = (i, j) if i < j else (j, i)
+        if self._u is not None:
+            return int(np.count_nonzero((self._u == a) & (self._v == b)))
+        return self._mult.get((a, b), 0)
 
     def is_simple(self) -> bool:
         """True iff no pair carries more than one edge."""
-        return all(m == 1 for m in self.edge_mult.values())
+        if self._u is not None:
+            return bool(self._sorted_runs()[2].all())
+        return all(m == 1 for m in self._mult.values())
 
     def degree(self, v: int) -> int:
         """Multiplicity-counting degree of vertex v."""
@@ -73,8 +131,14 @@ class Multigraph:
         return sum(m for (i, j), m in self.edge_mult.items() if i == v or j == v)
 
     def count_isolated(self) -> int:
+        if self._u is not None:
+            if 2 * len(self._u) >= self.n:
+                return self.n - int(np.count_nonzero(_marked(self.n, self._u, self._v)))
+            # Few edges on many vertices: sort, so the cost stays in the edges.
+            ends = np.sort(np.concatenate((self._u, self._v)))
+            return self.n - len(ends) + int(np.count_nonzero(ends[1:] == ends[:-1]))
         touched: set[int] = set()
-        for i, j in self.edge_mult:
+        for i, j in self._mult:
             touched.add(i)
             touched.add(j)
         return self.n - len(touched)
@@ -86,10 +150,12 @@ class Multigraph:
         """
         if self.n <= 1:
             return True
-        if len(self.edge_mult) < self.n - 1:
+        if self._u is not None:
+            return len(self._u) >= self.n - 1 and _connected(self.n, self._u, self._v)
+        if len(self._mult) < self.n - 1:
             return False
         adj: dict[int, list[int]] = {}
-        for i, j in self.edge_mult:
+        for i, j in self._mult:
             adj.setdefault(i, []).append(j)
             adj.setdefault(j, []).append(i)
         seen = {1}
@@ -127,6 +193,41 @@ class Multigraph:
         return all(theirs.get(pair, 0) >= m for pair, m in self.edge_mult.items())
 
 
+def _marked(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Which of the labels 0..n are an end of some edge (u, v)."""
+    marked = np.zeros(n + 1, dtype=bool)
+    marked[u] = True
+    marked[v] = True
+    return marked
+
+
+def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the edges (u, v), at least n - 1 of them, connect all of
+    1..n: no vertex untouched, then min-label propagation with pointer
+    jumping (Shiloach and Vishkin, *An O(log n) parallel connectivity
+    algorithm*, 1982)."""
+    if np.count_nonzero(_marked(n, u, v)) < n:
+        return False
+    # label[x] <= x always, and after the jumping every label is a root.
+    label = np.arange(n + 1)
+    # Hook each root that an edge leaves onto the smallest root it reaches;
+    # at the start every vertex is a root and u < v.
+    hi, lo = v, u
+    while True:
+        np.minimum.at(label, hi, lo)
+        while True:
+            jumped = label[label]
+            if (jumped == label).all():
+                break
+            label = jumped
+        lu, lv = label[u], label[v]
+        split = lu != lv
+        if not split.any():
+            return bool((label[1:] == label[1]).all())
+        lu, lv = lu[split], lv[split]
+        hi, lo = np.maximum(lu, lv), np.minimum(lu, lv)
+
+
 def is_subgraph(g1: Multigraph, g2: Multigraph) -> bool:
     """Sub-multigraph order: mult_g1(B) <= mult_g2(B) for every pair B."""
     return g1.is_subgraph(g2)
@@ -158,7 +259,7 @@ class GraphProperty(NamedTuple):
 # wrappers installed on the class see every call. The monotone entries come
 # in the order ``couple`` reports them.
 PROPERTIES: dict[str, GraphProperty] = {
-    "has-edge": GraphProperty(lambda g: (len(g.edge_mult) > 0, None), True),
+    "has-edge": GraphProperty(lambda g: (g.total_edges() > 0, None), True),
     "connected": GraphProperty(lambda g: (g.is_connected(), None), True),
     "no-isolated": GraphProperty(_isolated, True),
     "triangle-count": GraphProperty(_triangles, True),

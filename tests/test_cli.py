@@ -131,6 +131,9 @@ def test_exact_degree_law_at_monte_carlo_sizes(sizes):
     ["--quantity", "triangles", "--model", "uniform-hk", "--m", "50000"],
     ["--quantity", "pair-dist", "--model", "complete-k", "--i", "1", "--j", "2"],
     ["--quantity", "pair-dist", "--model", "uniform-hk", "--m", "487635", "--i", "1", "--j", "2"],
+    ["--quantity", "prob", "--predicate", "connected", "--model", "binomial-hk", "--q", "1"],
+    ["--quantity", "triangles", "--model", "binomial-hk", "--q", "0.5"],
+    ["--quantity", "pair-dist", "--model", "binomial-hk", "--q", "1", "--i", "1", "--j", "2"],
 ])
 def test_oracle_refuses_budget_before_building_driver(monkeypatch, argv):
     from mglab import experiments, hypergraph
@@ -139,14 +142,34 @@ def test_oracle_refuses_budget_before_building_driver(monkeypatch, argv):
         raise AssertionError("the driver was built")
 
     monkeypatch.setattr(experiments, "build_hypergraph", refuse)
-    monkeypatch.setattr(experiments, "complete_uniform", refuse)
-    monkeypatch.setattr(hypergraph, "complete_uniform", refuse)
-    monkeypatch.setattr(cli, "complete_uniform", refuse)
+    for module in (experiments, hypergraph, cli):
+        for name in ("complete_uniform", "uniform_hypergraph", "binomial_hypergraph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
     code, out = run_cli("oracle", *argv, "--n", "60", "--k", "4", "--p", "0.5", "--budget", "10")
     assert code == cli.EXIT_BUDGET and out == ""
     # exact pair-law needs no driver either
     code, out = run_cli("exact", "--quantity", "pair-law", "--n", "3000", "--k", "3", "--p", "0.5")
     assert code == 0 and len(out.split()) == 2999
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "complete-k", "--n", "60", "--k", "4", "--p", "0.000001"],
+    ["--model", "uniform-hk", "--n", "60", "--k", "4", "--m", "400000", "--p", "0.00001"],
+    ["--model", "binomial-hk", "--n", "60", "--k", "4", "--q", "0.9", "--p", "0.00001"],
+])
+def test_generate_above_dense_limit_builds_no_driver(monkeypatch, argv):
+    from mglab import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the driver was built")
+
+    monkeypatch.setattr(experiments, "build_hypergraph", refuse)
+    code, out = run_cli("generate", *argv, "--seed", "4")
+    assert code == 0 and out.splitlines()[0] == "n=60"
+    assert sum(int(line.split()[2]) for line in out.splitlines()[1:]) <= 12
+    code, out = run_cli("generate", *argv[:-1], "1.5")
+    assert code == cli.EXIT_INVALID and out == ""
 
 
 def test_oracle_json_and_budget():

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -138,19 +139,33 @@ def test_unrank_rank_roundtrip():
 
 def test_unrank_inverts_rank_up_to_int64():
     # every rank of small spaces, then both ends and random ranks of spaces
-    # whose binomial tables pass 2^63 (C(70, 35)) or whose size nearly does
-    for n, k in [(9, 4), (7, 7), (12, 2)]:
-        ranks = np.arange(math.comb(n, k))
-        got = unrank_ksubsets(n, k, ranks)
-        assert [rank_ksubset(row) for row in got.tolist()] == ranks.tolist()
-    rng = np.random.default_rng(7)
-    for n, k in [(70, 60), (66, 33), (1000, 6)]:
-        total = math.comb(n, k)
-        assert total < 2**63
-        ranks = [0, total - 1, *(int(x) for x in rng.integers(0, total, size=200))]
-        got = unrank_ksubsets(n, k, np.array(ranks, dtype=np.int64))
-        assert np.all(np.diff(got, axis=1) > 0) and got.min() >= 1 and got.max() <= n
-        assert [rank_ksubset(row) for row in got.tolist()] == ranks
+    # whose binomial tables pass 2^63 (C(70, 35)) or whose size nearly does;
+    # (200, 190) has C < 2^63 but i! overflows a float from i = 171
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n, k in [(9, 4), (7, 7), (12, 2), (6, 1), (30, 28)]:
+            ranks = np.arange(math.comb(n, k))
+            got = unrank_ksubsets(n, k, ranks)
+            assert [rank_ksubset(row) for row in got.tolist()] == ranks.tolist()
+        rng = np.random.default_rng(7)
+        top = 2**63 - 1
+        for n, k, extra in [
+            (70, 60, []),
+            (66, 33, []),
+            (1000, 6, []),
+            (200, 190, []),
+            (70, 35, [top, top - 1, top - 2, top - 1000, *range(top - 50_000, top, 997)]),
+            (3000, 3, []),
+            (400, 3, rng.choice(math.comb(400, 3), 5000, replace=False).tolist()),
+        ]:
+            total = math.comb(n, k)
+            last = min(total, 2**63) - 1
+            ranks = [0, last, *(int(x) for x in rng.integers(0, last, size=200)), *extra]
+            got = unrank_ksubsets(n, k, np.array(ranks, dtype=np.int64))
+            assert np.all(np.diff(got, axis=1) > 0) and got.min() >= 1 and got.max() <= n
+            assert [rank_ksubset(row) for row in got.tolist()] == ranks
+        assert unrank_ksubsets(400, 3, [0]).tolist() == [[1, 2, 3]]
+        assert unrank_ksubsets(5, 3, np.zeros(0, dtype=np.int64)).shape == (0, 3)
 
 
 def test_submultiset():
