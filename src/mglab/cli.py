@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analytics, experiments, oracle
-from .hypergraph import check_probability, complete_uniform, uniform_hypergraph
+from .hypergraph import binomial_edge_count, check_probability, complete_uniform, uniform_hypergraph
 from .multigraph import PROPERTIES, write_multigraph
 
 EXIT_OK = 0
@@ -109,9 +109,7 @@ def _cmd_oracle(args) -> int:
         raise ValueError("pair-dist needs --i and --j")
     m = args.m if args.model == "uniform-hk" else None
     if args.model == "binomial-hk":
-        # binomial_hypergraph's first draw; given it, the driver is the
-        # uniform one, whose subsets come next from the same stream.
-        m = int(rng.binomial(math.comb(args.n, args.k), args.q))
+        m = binomial_edge_count(args.n, args.k, args.q, rng)
     if args.model != "file":
         if args.quantity == "prob":
             oracle.predicate_by_name(args.predicate, args.i, args.j, args.n)

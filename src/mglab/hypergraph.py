@@ -102,9 +102,16 @@ def binomial_hypergraph(n: int, k: int, q: float, rng: np.random.Generator) -> H
     many distinct subset ranks, which has the same law without touching all
     C(n, k) subsets.
     """
+    return uniform_hypergraph(n, k, binomial_edge_count(n, k, q, rng), rng)
+
+
+def binomial_edge_count(n: int, k: int, q: float, rng: np.random.Generator) -> int:
+    """The first draw of ``binomial_hypergraph``: its number of edges,
+    Bin(C(n, k), q). Given it, the subsets are ``uniform_hypergraph``'s,
+    drawn next from the same stream."""
     total = check_nk(n, k)
     check_probability(q, "q")
-    return _distinct_subsets(n, k, total, int(rng.binomial(total, q)), rng)
+    return int(rng.binomial(total, q))
 
 
 def uniform_hypergraph(n: int, k: int, m: int, rng: np.random.Generator) -> Hypergraph:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
 from typing import IO, Callable, Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -32,15 +33,14 @@ class Multigraph:
     graph holds its kept doubletons as two int64 arrays with u < v
     elementwise, a repeated pair being a parallel edge; its ``edge_mult`` is
     derived from the arrays on first access and then cached. The edge
-    count, isolated-vertex, simplicity, multiplicity and connectivity
-    queries answer from the arrays when there are any. Treat instances as
-    immutable: every property check is pure.
+    count, isolated-vertex and connectivity queries answer from the arrays
+    when there are any. Treat instances as immutable: every property check
+    is pure.
     """
 
     n: int
-    # Class defaults: a dict-backed graph sets only ``_mult``, an
-    # array-backed one ``_u`` and ``_v`` (and ``_mult`` once derived).
-    _mult: dict[Pair, int] | None = None
+    # Class defaults: a dict-backed graph sets only ``edge_mult``, an
+    # array-backed one ``_u`` and ``_v`` (and ``edge_mult`` once derived).
     _u: np.ndarray | None = None
     _v: np.ndarray | None = None
 
@@ -55,7 +55,7 @@ class Multigraph:
             key = (i, j) if i < j else (j, i)
             cleaned[key] = cleaned.get(key, 0) + mult
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_mult", cleaned)
+        object.__setattr__(self, "edge_mult", cleaned)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "Multigraph":
@@ -63,7 +63,7 @@ class Multigraph:
         counts = Counter((i, j) if i < j else (j, i) for i, j in pairs)
         g = cls.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "_mult", dict(counts))
+        object.__setattr__(g, "edge_mult", dict(counts))
         return g
 
     @classmethod
@@ -89,40 +89,29 @@ class Multigraph:
     def __repr__(self) -> str:
         return f"Multigraph(n={self.n!r}, edge_mult={self.edge_mult!r})"
 
-    @property
+    @cached_property
     def edge_mult(self) -> dict[Pair, int]:
-        if self._mult is None:
-            u, v, first = self._sorted_runs()
-            counts = np.diff(np.flatnonzero(first), append=len(u))
-            mult = dict(zip(zip(u[first].tolist(), v[first].tolist()), counts.tolist()))
-            object.__setattr__(self, "_mult", mult)
-        return self._mult
-
-    def _sorted_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Array-backed graphs: the doubletons sorted by pair, and where
-        each pair's run of parallel edges starts."""
+        # A non-data descriptor: a dict-backed graph's own attribute shadows
+        # it, so this runs only on an array-backed graph, once.
         order = np.lexsort((self._v, self._u))
         u, v = self._u[order], self._v[order]
         first = np.ones(len(u), dtype=bool)
         first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        return u, v, first
+        counts = np.diff(np.flatnonzero(first), append=len(u))
+        return dict(zip(zip(u[first].tolist(), v[first].tolist()), counts.tolist()))
 
     def total_edges(self) -> int:
         if self._u is not None:
             return len(self._u)
-        return sum(self._mult.values())
+        return sum(self.edge_mult.values())
 
     def multiplicity(self, i: int, j: int) -> int:
-        a, b = (i, j) if i < j else (j, i)
-        if self._u is not None:
-            return int(np.count_nonzero((self._u == a) & (self._v == b)))
-        return self._mult.get((a, b), 0)
+        key = (i, j) if i < j else (j, i)
+        return self.edge_mult.get(key, 0)
 
     def is_simple(self) -> bool:
         """True iff no pair carries more than one edge."""
-        if self._u is not None:
-            return bool(self._sorted_runs()[2].all())
-        return all(m == 1 for m in self._mult.values())
+        return all(m == 1 for m in self.edge_mult.values())
 
     def degree(self, v: int) -> int:
         """Multiplicity-counting degree of vertex v."""
@@ -132,13 +121,10 @@ class Multigraph:
 
     def count_isolated(self) -> int:
         if self._u is not None:
-            if 2 * len(self._u) >= self.n:
-                return self.n - int(np.count_nonzero(_marked(self.n, self._u, self._v)))
-            # Few edges on many vertices: sort, so the cost stays in the edges.
-            ends = np.sort(np.concatenate((self._u, self._v)))
-            return self.n - len(ends) + int(np.count_nonzero(ends[1:] == ends[:-1]))
+            # A set of the edge ends: the cost follows the edges, not n.
+            return self.n - len(set(self._u.tolist()).union(self._v.tolist()))
         touched: set[int] = set()
-        for i, j in self._mult:
+        for i, j in self.edge_mult:
             touched.add(i)
             touched.add(j)
         return self.n - len(touched)
@@ -152,10 +138,10 @@ class Multigraph:
             return True
         if self._u is not None:
             return len(self._u) >= self.n - 1 and _connected(self.n, self._u, self._v)
-        if len(self._mult) < self.n - 1:
+        if len(self.edge_mult) < self.n - 1:
             return False
         adj: dict[int, list[int]] = {}
-        for i, j in self._mult:
+        for i, j in self.edge_mult:
             adj.setdefault(i, []).append(j)
             adj.setdefault(j, []).append(i)
         seen = {1}
@@ -193,20 +179,15 @@ class Multigraph:
         return all(theirs.get(pair, 0) >= m for pair, m in self.edge_mult.items())
 
 
-def _marked(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Which of the labels 0..n are an end of some edge (u, v)."""
-    marked = np.zeros(n + 1, dtype=bool)
-    marked[u] = True
-    marked[v] = True
-    return marked
-
-
 def _connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
     """Whether the edges (u, v), at least n - 1 of them, connect all of
     1..n: no vertex untouched, then min-label propagation with pointer
     jumping (Shiloach and Vishkin, *An O(log n) parallel connectivity
     algorithm*, 1982)."""
-    if np.count_nonzero(_marked(n, u, v)) < n:
+    touched = np.zeros(n + 1, dtype=bool)
+    touched[u] = True
+    touched[v] = True
+    if np.count_nonzero(touched) < n:
         return False
     # label[x] <= x always, and after the jumping every label is a root.
     label = np.arange(n + 1)

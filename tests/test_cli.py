@@ -141,11 +141,15 @@ def test_oracle_refuses_budget_before_building_driver(monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("the driver was built")
 
-    monkeypatch.setattr(experiments, "build_hypergraph", refuse)
-    for module in (experiments, hypergraph, cli):
-        for name in ("complete_uniform", "uniform_hypergraph", "binomial_hypergraph"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, refuse)
+    builders = ("complete_uniform", "uniform_hypergraph", "binomial_hypergraph")
+    for module, name in [
+        (experiments, "build_hypergraph"),
+        *((experiments, name) for name in builders),
+        *((hypergraph, name) for name in builders),
+        (cli, "complete_uniform"),
+        (cli, "uniform_hypergraph"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
     code, out = run_cli("oracle", *argv, "--n", "60", "--k", "4", "--p", "0.5", "--budget", "10")
     assert code == cli.EXIT_BUDGET and out == ""
     # exact pair-law needs no driver either
